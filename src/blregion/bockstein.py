@@ -6,7 +6,9 @@ resolved from, in order: seeded rules, filtration or empty-target vanishing,
 the positive-cone factorization oracle, tensor factorizations of gamma
 classes through ruled pure-gamma divisors, annihilator relations
 (differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
-rho-tower transfer. Anything still unresolved falls under the engine's
+rho-tower transfer. Every E1 basis these mechanisms consult comes from the
+run's ``E1Index``: stored degrees from the run's own states, the rest
+enumerated once per run. Anything still unresolved falls under the engine's
 declared closure assumption -- no differentials beyond the seeded ones and
 their closure -- and is assigned zero with a log entry; the structural
 checks and the census validate the assumption, while conflicting derivations
@@ -21,13 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from . import gf2
 from .catalog import Catalog
-from .cones import (
-    E1Page,
-    build_e1,
-    enumerate_gamma_at,
-    enumerate_positive_at,
-    enumerate_q_at,
-)
+from .cones import E1Index, E1Page, build_e1
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from .monomials import (
     Cone,
@@ -143,8 +139,15 @@ class PositiveOracle:
     follow by the Leibniz rule over the factorization rho^a tau^b z.
     """
 
-    def __init__(self, cat: Catalog, rules: Sequence[DifferentialRule], k_span: int = 48):
+    def __init__(
+        self,
+        cat: Catalog,
+        rules: Sequence[DifferentialRule],
+        index: Optional[E1Index] = None,
+        k_span: int = 48,
+    ):
         self.cat = cat
+        self.index = index if index is not None else E1Index(cat)
         self._fam_rules = self._index_family_rules(rules, k_span)
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
         self._alive_memo: Dict[Tuple[MonomialClass, int], bool] = {}
@@ -192,7 +195,7 @@ class PositiveOracle:
         target = degree_of(cat, z) + DIFFERENTIAL_SHIFT
         if target.f < 0:
             return True
-        return not any(m.rho == r for m in enumerate_positive_at(cat, target))
+        return not any(m.rho == r for m in self.index.at(target, Cone.POSITIVE))
 
     def d(self, m: MonomialClass, r: int):
         """Resolved d_r(m) as a list of monomials, None for zero, or _UNKNOWN."""
@@ -214,7 +217,7 @@ class PositiveOracle:
         a, b = m.rho, m.tau
         target = degree_of(cat, m) + DIFFERENTIAL_SHIFT
         if target.coweight < 0 or not any(
-            c.rho == a + r for c in enumerate_positive_at(cat, target)
+            c.rho == a + r for c in self.index.at(target, Cone.POSITIVE)
         ):
             return None  # empty target degree: vanishing is forced
         if m.family:
@@ -268,7 +271,7 @@ class PositiveOracle:
                 src_deg = deg + TriDegree(1, -1, 0)
                 if src_deg.f < 0:
                     continue
-                for s in enumerate_positive_at(cat, src_deg):
+                for s in self.index.at(src_deg, Cone.POSITIVE):
                     if s.rho != m.rho - q or not self.alive(s, q):
                         continue
                     sval = self.d(s, q)
@@ -288,7 +291,7 @@ class PositiveOracle:
                 src_deg = deg + TriDegree(1, -1, 0)
                 if src_deg.f < 0:
                     continue
-                for s in enumerate_positive_at(cat, src_deg):
+                for s in self.index.at(src_deg, Cone.POSITIVE):
                     if s.rho != m.rho - q or not self.alive(s, q):
                         continue
                     sval = self.d(s, q)
@@ -385,7 +388,7 @@ def annihilator_solve(
         return None
     candidates = [
         m
-        for m in enumerate_gamma_at(cat, target) + enumerate_q_at(cat, target)
+        for m in oracle.index.at(target, Cone.GAMMA) + oracle.index.at(target, Cone.Q)
         if m.filtration() == filt
     ]
     if alive is not None:
@@ -491,6 +494,11 @@ class BocksteinRun:
     raw_differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
     assumptions: AssumptionLog = field(default_factory=AssumptionLog)
     pages_run: List[int] = field(default_factory=list)
+    #: E1 bases of every degree the run asks about; lives as long as the run
+    index: E1Index = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = E1Index(self.cat, self.window, self.states)
 
     def state_at(self, d: TriDegree) -> Optional[DegreeState]:
         return self.states.get(d)
@@ -555,17 +563,17 @@ class PageResolver:
         return chain_of(self.run.cat, self.run.window, monos)
 
     def _target_candidates(self, m: MonomialClass) -> List[MonomialClass]:
-        cat = self.run.cat
-        target = degree_of(cat, m) + DIFFERENTIAL_SHIFT
+        index = self.run.index
+        target = degree_of(self.run.cat, m) + DIFFERENTIAL_SHIFT
         if target.f < 0:
             return []
         filt = m.filtration() + self.r
         if m.cone is Cone.POSITIVE:
-            pool = enumerate_positive_at(cat, target)
+            pool = index.at(target, Cone.POSITIVE)
         else:
             if filt > 0:
                 return []
-            pool = enumerate_gamma_at(cat, target) + enumerate_q_at(cat, target)
+            pool = index.at(target, Cone.GAMMA) + index.at(target, Cone.Q)
         return [c for c in pool if c.filtration() == filt]
 
     def resolve(self, m: MonomialClass):
@@ -886,7 +894,7 @@ def leibniz_closure(
     by the census) rather than being guessed.
     """
     rules = list(rules if rules is not None else seed_rules(run.cat))
-    oracle = PositiveOracle(run.cat, rules)
+    oracle = PositiveOracle(run.cat, rules, run.index)
     gpure = GammaPureOracle(run.cat, oracle)
     return resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
 
@@ -912,7 +920,7 @@ def run_bockstein(
     for sp in e1.spaces():
         sp.validate(cat)
     run = BocksteinRun(cat, window, e1, _collect_states(cat, e1))
-    oracle = PositiveOracle(cat, rules)
+    oracle = PositiveOracle(cat, rules, run.index)
     gpure = GammaPureOracle(cat, oracle)
     for r in schedule_pages(cat, window, rules):
         diffs = resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
@@ -1164,7 +1172,7 @@ def infer_forced_differentials(
                     src_deg = degree_of(cat, hit) + TriDegree(1, -1, 0)
                     if src_deg.f < 0:
                         continue
-                    for s_mono in enumerate_positive_at(cat, src_deg):
+                    for s_mono in oracle.index.at(src_deg, Cone.POSITIVE):
                         if s_mono.rho != 0 or excluded(s_mono, r, hit):
                             continue
                         candidates.append((s_mono, r, hit))

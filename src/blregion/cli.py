@@ -156,6 +156,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _parse_args(list(sys.argv[1:] if argv is None else argv))
         cfg.validate()
+        window = Window(
+            max_stem=cfg.max_stem,
+            min_coweight=cfg.coweight_min,
+            max_coweight=cfg.coweight_max,
+        )
     except SystemExit as exc:  # argparse reports usage problems itself
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except ValueError as exc:
@@ -179,11 +184,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"rule override error: {exc}", file=sys.stderr)
             return USAGE_ERROR
 
-    window = Window(
-        max_stem=cfg.max_stem,
-        min_coweight=cfg.coweight_min,
-        max_coweight=cfg.coweight_max,
-    )
     try:
         run = run_bockstein(cat, window, extra_rules=extra_rules)
     except (ConflictError, EngineError) as exc:

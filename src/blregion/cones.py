@@ -5,8 +5,9 @@ powers); the negative cone splits into the gamma part (tau-free edge classes
 under the infinitely divisible gamma/(rho^j tau^i)) and the Q part (torsion
 witnesses Q/rho^j on the tau-torsion families). Besides the windowed
 builders, this module exposes exact per-degree enumerators that answer "what
-does E1 contain in this tridegree" anywhere, which is what the differential
-engine uses to conclude that a target degree is empty.
+does E1 contain in this tridegree" anywhere. The differential engine does not
+call them directly: it asks an ``E1Index``, which answers degrees inside the
+window from the run's stored bases and enumerates every other degree once.
 
 Construction is a pure function of (catalog, window); per-degree work is
 independent and merges deterministically in degree order.
@@ -15,7 +16,7 @@ independent and merges deterministically in degree order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .catalog import Catalog, Q_SHIFT
 from .degrees import TriDegree, Window
@@ -195,6 +196,35 @@ def enumerate_e1_at(cat: Catalog, deg: TriDegree, cone: Optional[Cone] = None) -
         + enumerate_q_at(cat, deg),
         key=lambda m: m.sort_key(),
     )
+
+
+class E1Index:
+    """The E1 basis of any tridegree and cone, for the lifetime of one run.
+
+    ``stored`` maps each nonempty stored degree of ``window`` to an object
+    whose ``basis`` is that degree's sorted E1 basis (the run's degree
+    states). Degrees the window stores are answered from it, filtered by
+    cone; every other degree is enumerated once and memoized here. Without a
+    window every degree takes the memoized path.
+    """
+
+    def __init__(self, cat: Catalog, window: Optional[Window] = None,
+                 stored: Optional[Mapping[TriDegree, object]] = None):
+        self.cat = cat
+        self.window = window
+        self.stored = stored if stored is not None else {}
+        self._memo: Dict[Tuple[TriDegree, Cone], Tuple[MonomialClass, ...]] = {}
+
+    def at(self, deg: TriDegree, cone: Cone) -> Tuple[MonomialClass, ...]:
+        """Sorted basis of one cone of E1 in degree ``deg``."""
+        if self.window is not None and self.window.stores(deg):
+            st = self.stored.get(deg)
+            return tuple(m for m in st.basis if m.cone is cone) if st else ()
+        key = (deg, cone)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = tuple(enumerate_e1_at(self.cat, deg, cone))
+        return hit
 
 
 # --- windowed builders ---------------------------------------------------------

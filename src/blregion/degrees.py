@@ -74,6 +74,8 @@ class Window:
             object.__setattr__(self, "max_f", self.max_stem + 2)
         if self.max_stem < self.min_stem:
             raise ValueError("empty stem range")
+        if self.max_coweight < self.min_coweight:
+            raise ValueError("empty coweight range")
 
     # Stored = asserted plus padding; construction and page turning happen
     # over the stored box, assertions only over the asserted one.

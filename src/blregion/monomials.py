@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import Catalog, Q_SHIFT
+from .catalog import Catalog, CatalogError, Q_SHIFT
 from .degrees import TriDegree
 
 
@@ -50,23 +50,36 @@ class MonomialClass:
 # Internal singleton-ish helpers ------------------------------------------------
 
 
-def _underlying_degree(cat: Catalog, m: MonomialClass) -> TriDegree:
-    d = cat.symbols["h_0"].scale(m.h0) + cat.symbols["h_1"].scale(m.h1)
-    if m.family:
-        d = d + cat.families[m.family].degree(m.k)
-    return d
-
-
 def degree_of(cat: Catalog, m: MonomialClass) -> TriDegree:
+    """Tridegree of a basis monomial, summed in plain integers.
+
+    The underlying part is h0^a h1^b times the family member; the prefix is
+    rho^j tau^i on the positive cone, gamma/(rho^j tau^i) on the gamma part
+    (``Catalog.gamma_degree``: (j, 0, i + j + 1)) and Q/rho^j on the Q part
+    (``Q_SHIFT`` plus (j, 0, j)). The engine calls this more than anything
+    else, so it builds exactly one TriDegree.
+    """
+    h0, h1 = cat.symbols["h_0"], cat.symbols["h_1"]
+    s = m.h0 * h0.s + m.h1 * h1.s
+    f = m.h0 * h0.f + m.h1 * h1.f
+    w = m.h0 * h0.w + m.h1 * h1.w
+    if m.family:
+        fam = cat.families[m.family]
+        k = m.k
+        if k < 0:
+            raise CatalogError(f"family parameter must be >= 0, got {k} for {fam.name}")
+        s += fam.base.s + k * fam.period.s
+        f += fam.base.f + k * fam.period.f
+        w += fam.base.w + k * fam.period.w
+    j = m.rho
     if m.cone is Cone.POSITIVE:
-        return (
-            _underlying_degree(cat, m)
-            + cat.rho.scale(m.rho)
-            + cat.tau.scale(m.tau)
-        )
+        rho, tau = cat.symbols["rho"], cat.symbols["tau"]
+        i = m.tau
+        return TriDegree(s + j * rho.s + i * tau.s, f + j * rho.f + i * tau.f,
+                         w + j * rho.w + i * tau.w)
     if m.cone is Cone.GAMMA:
-        return cat.gamma_degree(m.rho, m.tau) + _underlying_degree(cat, m)
-    return Q_SHIFT + _underlying_degree(cat, m) + TriDegree(1, 0, 1).scale(m.rho)
+        return TriDegree(s + j, f, w + m.tau + j + 1)
+    return TriDegree(s + Q_SHIFT.s + j, f + Q_SHIFT.f, w + Q_SHIFT.w + j)
 
 
 def _family_heights(cat: Catalog, name: str) -> Tuple[int, int]:

@@ -24,3 +24,8 @@ def page24(run24):
 @pytest.fixture(scope="session")
 def run10(cat):
     return run_bockstein(cat, Window(max_stem=10))
+
+
+@pytest.fixture(scope="session")
+def run40(cat):
+    return run_bockstein(cat, Window(max_stem=40))

@@ -351,3 +351,10 @@ def test_assumption_log_is_reported(run24):
     rep = census_report(run24)
     if run24.assumptions.entries:
         assert any("closure assumption" in n for n in rep.notes)
+
+
+def test_window_stability(run24, run40):
+    # widening the window must not change any page the smaller one asserts
+    asserted = {d for d in set(run24.states) | set(run40.states) if run24.window.asserts(d)}
+    assert len(asserted) == 1712
+    assert [d for d in sorted(asserted) if run24.dimension(d) != run40.dimension(d)] == []

@@ -80,6 +80,13 @@ def test_usage_error_exit_code():
     assert run_cli("--coweights", "azz").returncode == 2
 
 
+@pytest.mark.parametrize("arg", ["--max-stem=-5", "--coweights=1..-2"])
+def test_empty_window_is_usage_error(arg):
+    r = run_cli(arg)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_small_window_rejected_for_reports():
     # torsion-witness differentials need the eighth stem
     r = run_cli("--report", "divisibility", "--max-stem", "6")

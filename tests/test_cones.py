@@ -1,11 +1,15 @@
 import itertools
 
 from blregion.cones import (
+    E1Index,
+    _degree_box,
     build_e1_positive,
     enumerate_e1_at,
     enumerate_gamma_at,
+    enumerate_positive_at,
+    enumerate_q_at,
 )
-from blregion.degrees import TriDegree, Window
+from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from blregion.monomials import (
     Cone,
     degree_of,
@@ -134,3 +138,22 @@ def test_gamma_vanishing_line_precheck(cat, run10):
 def test_every_basis_label_filed_once(cat, run10):
     for sp in run10.e1.spaces():
         sp.validate(cat)
+
+
+def test_index_matches_enumerators(cat, run10):
+    # stored degrees come from the run's states, the degrees one differential
+    # step past the stored box from the memo; both must equal the enumerators
+    box = list(_degree_box(run10.window))
+    past = sorted({d + DIFFERENTIAL_SHIFT for d in box} - set(box))
+    assert past and not any(run10.window.stores(d) for d in past)
+    enumerators = {
+        Cone.POSITIVE: enumerate_positive_at,
+        Cone.GAMMA: enumerate_gamma_at,
+        Cone.Q: enumerate_q_at,
+    }
+    windowless = E1Index(cat)
+    for deg in box + past:
+        for cone, enumerate_at in enumerators.items():
+            want = enumerate_at(cat, deg)
+            assert list(run10.index.at(deg, cone)) == want, (deg, cone)
+            assert list(windowless.at(deg, cone)) == want, (deg, cone)

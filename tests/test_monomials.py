@@ -1,7 +1,13 @@
+import itertools
+
 import pytest
 
-from blregion.degrees import TriDegree
+from blregion.catalog import Q_SHIFT, CatalogError
+from blregion.cones import build_e1
+from blregion.degrees import TriDegree, Window
 from blregion.monomials import (
+    Cone,
+    MonomialClass,
     ProductError,
     degree_of,
     display,
@@ -104,3 +110,42 @@ def test_sort_key_orders_cones(cat):
     gam = make_gamma(cat, 0, 1)
     q = make_q(cat, 0, "h_1^{4+k}", 0)
     assert sorted([q, gam, pos], key=lambda m: m.sort_key()) == [pos, gam, q]
+
+
+def reference_degree(cat, m):
+    """degree_of as a sum of TriDegree objects, the formula it replaced."""
+    under = cat.symbols["h_0"].scale(m.h0) + cat.symbols["h_1"].scale(m.h1)
+    if m.family:
+        under = under + cat.families[m.family].degree(m.k)
+    if m.cone is Cone.POSITIVE:
+        return under + cat.rho.scale(m.rho) + cat.tau.scale(m.tau)
+    if m.cone is Cone.GAMMA:
+        return cat.gamma_degree(m.rho, m.tau) + under
+    return Q_SHIFT + under + TriDegree(1, 0, 1).scale(m.rho)
+
+
+def test_degree_of_matches_reference(cat, run24):
+    deep = build_e1(cat, Window(max_stem=24, min_coweight=-6))
+    classes = [m for e1 in (run24.e1, deep) for sp in e1.spaces() for m in sp.classes()]
+    # E1 keeps only classes whose degree_of lands in the degree enumerated, so
+    # also check monomials built straight from small exponents
+    for family in [""] + sorted(cat.families):
+        for k, j, i, e in itertools.product(range(4), range(4), range(1, 4), range(4)):
+            for h0, h1 in ((e, 0), (0, e)):
+                try:
+                    classes += [make_positive(cat, j, i, h0, h1, family, k),
+                                make_gamma(cat, j, i, h0, h1, family, k)]
+                except ProductError:
+                    continue  # k below the family's basis range
+                if family and cat.families[family].tau_torsion:
+                    classes.append(make_q(cat, j, family, k))
+    classes = [m for m in classes if m is not None]
+    assert {m.cone for m in classes} == set(Cone)
+    for m in classes:
+        assert degree_of(cat, m) == reference_degree(cat, m), display(m)
+
+
+@pytest.mark.parametrize("cone", list(Cone))
+def test_degree_of_rejects_negative_family_parameter(cat, cone):
+    with pytest.raises(CatalogError):
+        degree_of(cat, MonomialClass(cone, "P^k h_1", -1, 0, 1, 0, 0))

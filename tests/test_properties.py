@@ -1,0 +1,78 @@
+"""Property tests over randomly drawn monomials (needs hypothesis)."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from blregion.monomials import (  # noqa: E402
+    ProductError,
+    degree_of,
+    make_gamma,
+    make_positive,
+    make_q,
+    multiply,
+)
+
+EXPONENT = st.integers(min_value=0, max_value=6)
+
+
+def _family_and_k(draw, cat, names):
+    """No family half the time: a product of two families raises ProductError."""
+    family = draw(st.one_of(st.just(""), st.sampled_from(names)))
+    k_min = cat.families[family].k_min if family else 0
+    return family, draw(st.integers(min_value=k_min, max_value=4))
+
+
+def _bumps(draw, cat, family, cap=6):
+    """(h0, h1) within the family's heights; at most one is nonzero (h0 h1 = 0)."""
+    fam = cat.families[family] if family else None
+    if draw(st.booleans()):
+        return draw(st.integers(0, min(fam.h0_height, cap) if fam else cap)), 0
+    return 0, draw(st.integers(0, min(fam.h1_height, cap) if fam else cap))
+
+
+@st.composite
+def positive_monomials(draw, cat, cap=6):
+    """A positive-cone monomial with every exponent at most ``cap``."""
+    family, k = _family_and_k(draw, cat, sorted(cat.families))
+    h0, h1 = _bumps(draw, cat, family, cap)
+    torsion = cat.families[family].tau_torsion if family else h1 >= 4
+    exponent = st.integers(0, cap)
+    tau = 0 if torsion else draw(exponent)
+    m = make_positive(cat, draw(exponent), tau, h0, h1, family, k)
+    assume(m is not None)
+    return m
+
+
+@st.composite
+def monomials(draw, cat):
+    """A positive, gamma-part or Q-part basis monomial."""
+    cone = draw(st.sampled_from(("positive", "gamma", "q")))
+    if cone == "positive":
+        return draw(positive_monomials(cat))
+    if cone == "gamma":
+        tau_free = sorted(n for n, f in cat.families.items() if not f.tau_torsion)
+        family, k = _family_and_k(draw, cat, tau_free)
+        h0, h1 = _bumps(draw, cat, family)
+        m = make_gamma(cat, draw(EXPONENT), draw(st.integers(1, 8)), h0, h1, family, k)
+    else:
+        torsion = sorted(n for n, f in cat.families.items() if f.tau_torsion)
+        m = make_q(cat, draw(EXPONENT), draw(st.sampled_from(torsion)), draw(st.integers(0, 8)))
+    assume(m is not None)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_degree_is_additive_on_products(cat, data):
+    # small multipliers: most large products leave the truncated towers
+    a = data.draw(positive_monomials(cat, cap=2), label="a")
+    b = data.draw(monomials(cat), label="b")
+    try:
+        product = multiply(cat, a, b)
+    except ProductError:
+        product = None  # outside the wedge: no product to check
+    assume(product is not None)
+    assert degree_of(cat, product) == degree_of(cat, a) + degree_of(cat, b)
