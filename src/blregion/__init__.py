@@ -19,7 +19,6 @@ from .bockstein import (
     census_report,
     check_structural_constraints,
     infer_forced_differentials,
-    leibniz_closure,
     run_bockstein,
     turn_page,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "infer_forced_differentials",
     "install_hidden_rho_extensions",
     "ko_chart",
-    "leibniz_closure",
     "load_catalog",
     "mahowald_invariant_of_2k",
     "module_action",

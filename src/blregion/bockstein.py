@@ -6,13 +6,15 @@ resolved from, in order: seeded rules, filtration or empty-target vanishing,
 the positive-cone factorization oracle, tensor factorizations of gamma
 classes through ruled pure-gamma divisors, annihilator relations
 (differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
-rho-tower transfer. Every E1 basis these mechanisms consult comes from the
-run's ``E1Index``: stored degrees from the run's own states, the rest
-enumerated once per run. Anything still unresolved falls under the engine's
-declared closure assumption -- no differentials beyond the seeded ones and
-their closure -- and is assigned zero with a log entry; the structural
-checks and the census validate the assumption, while conflicting derivations
-raise instead of guessing.
+rho-tower transfer. A run holds E1 once: ``build_e1`` gives the basis of every
+stored degree, and each becomes a ``DegreeState`` whose cycles and
+boundaries are ``gf2`` RREF row lists. Every E1 basis the mechanisms consult
+comes from the run's ``E1Index``: stored degrees from the run's own states,
+the rest enumerated once per run. Anything still unresolved falls under the
+engine's declared closure assumption -- no differentials beyond the seeded
+ones and their closure -- and is assigned zero with a log entry; the
+structural checks and the census validate the assumption, while conflicting
+derivations raise instead of guessing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from . import gf2
 from .catalog import Catalog
-from .cones import E1Index, E1Page, build_e1
+from .cones import E1Index, build_e1
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from .monomials import (
     Cone,
@@ -48,39 +50,6 @@ class ConflictError(EngineError):
 
 
 _UNKNOWN = object()
-
-
-class XorBasis:
-    """Incremental F2 row space with combination tracking (pivot = low bit)."""
-
-    def __init__(self):
-        self.pivots: Dict[int, Tuple[int, int]] = {}
-
-    def reduce(self, v: int, rec: int = 0) -> Tuple[int, int]:
-        while v:
-            p = v & -v
-            hit = self.pivots.get(p)
-            if hit is None:
-                return v, rec
-            v ^= hit[0]
-            rec ^= hit[1]
-        return 0, rec
-
-    def add(self, v: int, rec: int) -> bool:
-        v, rec = self.reduce(v, rec)
-        if v == 0:
-            return False
-        self.pivots[v & -v] = (v, rec)
-        return True
-
-
-def solve_f2(columns: Sequence[int], rhs: int) -> Optional[int]:
-    """One x (bitmask over columns) with XOR of chosen columns = rhs, or None."""
-    basis = XorBasis()
-    for i, c in enumerate(columns):
-        basis.add(c, 1 << i)
-    v, rec = basis.reduce(rhs, 0)
-    return None if v else rec
 
 
 @dataclass(frozen=True)
@@ -426,11 +395,10 @@ def annihilator_solve(
         columns.append(v)
     rhs_vec = (1 << col_index[(0, rhs)]) if rhs is not None else 0
 
-    sol = solve_f2(columns, rhs_vec)
+    sol, kernel = gf2.solve(columns, rhs_vec)
     if sol is None:
         return _UNKNOWN  # solvable only up to boundary slack: decline
-    kernel = gf2.F2Matrix(columns, len(col_index)).kernel_basis()
-    if any(kv & ((1 << len(candidates)) - 1) for kv in kernel):
+    if kernel:
         return _UNKNOWN  # under-determined: leave to other mechanisms
     picked = [candidates[t] for t in range(len(candidates)) if (sol >> t) & 1]
     return picked or None
@@ -454,24 +422,22 @@ class DegreeState:
         return len(self.cycles) - len(self.boundaries)
 
     def reps(self) -> List[int]:
-        return gf2.subquotient_basis(self.cycles, self.boundaries, len(self.basis))
+        return gf2.subquotient_basis(self.cycles, self.boundaries)
 
     def vector(self, m: MonomialClass) -> int:
         return 1 << self.basis.index(m)
 
     def in_cycles(self, v: int) -> bool:
-        rows, piv = gf2.rref(self.cycles, len(self.basis))
-        return gf2.in_span(v, rows, piv)
+        return gf2.reduce(v, self.cycles) == 0
 
     def reduce_mod_boundaries(self, v: int) -> int:
-        rows, piv = gf2.rref(self.boundaries, len(self.basis))
-        return gf2.reduce_vector(v, rows, piv)
-
-    def alive_vector(self, v: int) -> bool:
-        return self.in_cycles(v) and self.reduce_mod_boundaries(v) != 0
+        return gf2.reduce(v, self.boundaries)
 
     def monomial_alive(self, m: MonomialClass) -> bool:
-        return m in self.basis and self.alive_vector(self.vector(m))
+        if m not in self.basis:
+            return False
+        v = self.vector(m)
+        return self.in_cycles(v) and self.reduce_mod_boundaries(v) != 0
 
 
 @dataclass
@@ -486,7 +452,7 @@ class AssumptionLog:
 class BocksteinRun:
     cat: Catalog
     window: Window
-    e1: E1Page
+    #: the page in every nonempty stored degree, in sorted degree order
     states: Dict[TriDegree, DegreeState]
     #: page-true nonzero values (raw chains reduced modulo boundaries)
     differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
@@ -500,9 +466,6 @@ class BocksteinRun:
     def __post_init__(self):
         self.index = E1Index(self.cat, self.window, self.states)
 
-    def state_at(self, d: TriDegree) -> Optional[DegreeState]:
-        return self.states.get(d)
-
     def dimension(self, d: TriDegree) -> int:
         st = self.states.get(d)
         return st.dim() if st else 0
@@ -510,24 +473,6 @@ class BocksteinRun:
     def monomial_alive(self, m: MonomialClass) -> bool:
         st = self.states.get(degree_of(self.cat, m))
         return bool(st and st.monomial_alive(m))
-
-    def chain_alive(self, ch: Chain) -> bool:
-        if not ch.terms:
-            return False
-        st = self.states.get(degree_of(self.cat, next(iter(ch.terms))))
-        if st is None:
-            return False
-        v = 0
-        for m in ch.terms:
-            v ^= st.vector(m)
-        return st.alive_vector(v)
-
-
-def _collect_states(cat: Catalog, e1: E1Page) -> Dict[TriDegree, DegreeState]:
-    degrees: Set[TriDegree] = set()
-    for sp in e1.spaces():
-        degrees.update(sp.basis)
-    return {d: DegreeState.initial(d, e1.at(d)) for d in sorted(degrees)}
 
 
 # --- per-page resolution --------------------------------------------------------
@@ -716,12 +661,12 @@ class PageResolver:
                 return _UNKNOWN
             rhs ^= s_state.vector(t)
         rhs = s_state.reduce_mod_boundaries(rhs)
-        sol = solve_f2(cols, rhs)
+        sol, kernel = gf2.solve(cols, rhs)
         if sol is None:
             raise ConflictError(
                 f"rho-tower transfer inconsistent at {display(m)} page {r}"
             )
-        for kv in gf2.F2Matrix(cols, len(s_state.basis)).kernel_basis():
+        for kv in kernel:
             lifted = 0
             for c_i in range(len(candidates)):
                 if (kv >> c_i) & 1:
@@ -776,14 +721,14 @@ class _DegreeMatrix:
     reps: List[int]
     cols_page: List[int]   # image in target page coordinates (+ external bits)
     cols_raw: List[int]    # image in target E1 coordinates
-    target: Optional[TriDegree]
+    target: TriDegree
     n_target_reps: int
 
 
 def _page_matrices(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int):
     matrices: Dict[TriDegree, _DegreeMatrix] = {}
     rep_cache: Dict[TriDegree, List[int]] = {}
-    for d, st in sorted(run.states.items()):
+    for d, st in run.states.items():
         if st.dim():
             rep_cache[d] = st.reps()
     for d, reps in rep_cache.items():
@@ -811,18 +756,14 @@ def _page_matrices(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int)
                         f"d_{r} value {ch.describe()} is not a page-{r} class"
                     )
             page_vec = 0
-            if raw and t_state is not None:
+            if raw:
                 reduced = t_state.reduce_mod_boundaries(raw)
                 if reduced:
-                    basis = XorBasis()
-                    for t_i, tv in enumerate(t_reps):
-                        basis.add(t_state.reduce_mod_boundaries(tv), 1 << t_i)
-                    v, rec = basis.reduce(reduced, 0)
-                    if v:
+                    page_vec, _ = gf2.solve(t_reps, reduced)
+                    if page_vec is None:
                         raise ConflictError(
                             f"d_{r} value {ch.describe()} escapes the page at {target_deg}"
                         )
-                    page_vec = rec
             if ch.external:
                 key = ch.external
                 if key not in externals:
@@ -858,7 +799,7 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
     new_cycles: Dict[TriDegree, List[int]] = {}
     new_boundaries: Dict[TriDegree, List[int]] = {}
     for d, mat in matrices.items():
-        kernel = gf2.F2Matrix(mat.cols_page, mat.n_target_reps + len(mat.reps)).kernel_basis()
+        _, kernel = gf2.solve(mat.cols_page, 0)
         lifted = []
         for kv in kernel:
             v = 0
@@ -866,37 +807,17 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
                 if (kv >> t) & 1:
                     v ^= mat.reps[t]
             lifted.append(v)
-        st = run.states[d]
-        new_cycles[d] = gf2.rref(list(st.boundaries) + lifted, len(st.basis))[0]
+        new_cycles[d] = gf2.rref(run.states[d].boundaries + lifted)
         images = [v for v in mat.cols_raw if v]
-        if images and mat.target is not None:
+        if images:
             new_boundaries.setdefault(mat.target, []).extend(images)
     for d, st in run.states.items():
         if d in new_cycles:
             st.cycles = new_cycles[d]
-        elif st.dim() == 0:
-            pass
         add = new_boundaries.get(d)
         if add:
-            st.boundaries = gf2.rref(list(st.boundaries) + add, len(st.basis))[0]
-            st.cycles = gf2.rref(list(st.cycles) + list(st.boundaries), len(st.basis))[0]
-
-
-def leibniz_closure(
-    run: BocksteinRun, r: int, rules: Optional[Sequence[DifferentialRule]] = None
-) -> Dict[MonomialClass, Chain]:
-    """Resolve d_r on every alive class of the current page.
-
-    Rules seed the values; products, annihilator relations and tower
-    transfer close them. Conflicting derivations raise ConflictError;
-    classes the mechanisms cannot reach land in the run's assumption log
-    (assigned zero under the declared closure assumption, validated later
-    by the census) rather than being guessed.
-    """
-    rules = list(rules if rules is not None else seed_rules(run.cat))
-    oracle = PositiveOracle(run.cat, rules, run.index)
-    gpure = GammaPureOracle(run.cat, oracle)
-    return resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
+            st.boundaries = gf2.rref(st.boundaries + add)
+            st.cycles = gf2.rref(st.cycles + st.boundaries)
 
 
 def schedule_pages(cat: Catalog, window: Window, rules) -> List[int]:
@@ -917,9 +838,7 @@ def run_bockstein(
     window = window or Window()
     rules = list(rules if rules is not None else seed_rules(cat)) + list(extra_rules)
     e1 = build_e1(cat, window)
-    for sp in e1.spaces():
-        sp.validate(cat)
-    run = BocksteinRun(cat, window, e1, _collect_states(cat, e1))
+    run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()})
     oracle = PositiveOracle(cat, rules, run.index)
     gpure = GammaPureOracle(cat, oracle)
     for r in schedule_pages(cat, window, rules):

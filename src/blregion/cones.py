@@ -3,11 +3,13 @@
 The positive cone is the polynomial part (edge monomials times rho and tau
 powers); the negative cone splits into the gamma part (tau-free edge classes
 under the infinitely divisible gamma/(rho^j tau^i)) and the Q part (torsion
-witnesses Q/rho^j on the tau-torsion families). Besides the windowed
-builders, this module exposes exact per-degree enumerators that answer "what
-does E1 contain in this tridegree" anywhere. The differential engine does not
-call them directly: it asks an ``E1Index``, which answers degrees inside the
-window from the run's stored bases and enumerates every other degree once.
+witnesses Q/rho^j on the tau-torsion families). Exact per-degree
+enumerators answer "what does E1 contain in this tridegree" anywhere;
+``build_e1`` applies them to every degree a window stores and returns the
+per-degree bases, the one form of E1 a run holds. The differential engine
+does not call the enumerators directly: it asks an ``E1Index``, which
+answers degrees inside the window from the run's stored bases and
+enumerates every other degree once.
 
 Construction is a pure function of (catalog, window); per-degree work is
 independent and merges deterministically in degree order.
@@ -15,7 +17,6 @@ independent and merges deterministically in degree order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .catalog import Catalog, Q_SHIFT
@@ -24,66 +25,10 @@ from .monomials import (
     Cone,
     MonomialClass,
     degree_of,
-    display,
     make_gamma,
     make_positive,
     make_q,
 )
-
-
-@dataclass
-class TrigradedSpace:
-    """Ordered monomial basis per tridegree."""
-
-    basis: Dict[TriDegree, Tuple[MonomialClass, ...]] = field(default_factory=dict)
-
-    def add(self, cat: Catalog, m: MonomialClass) -> None:
-        d = degree_of(cat, m).require_filtration()
-        cur = self.basis.get(d, ())
-        if m not in cur:
-            self.basis[d] = tuple(sorted(cur + (m,), key=lambda x: x.sort_key()))
-
-    def at(self, d: TriDegree) -> Tuple[MonomialClass, ...]:
-        return self.basis.get(d, ())
-
-    def dimension(self, d: TriDegree) -> int:
-        return len(self.basis.get(d, ()))
-
-    def __iter__(self) -> Iterator[TriDegree]:
-        return iter(sorted(self.basis))
-
-    def classes(self) -> Iterator[MonomialClass]:
-        for d in sorted(self.basis):
-            yield from self.basis[d]
-
-    def validate(self, cat: Catalog) -> None:
-        seen = {}
-        for d, monos in self.basis.items():
-            for m in monos:
-                if degree_of(cat, m) != d:
-                    raise ValueError(f"{display(m)} filed under {d}, computed {degree_of(cat, m)}")
-                if m in seen:
-                    raise ValueError(f"{display(m)} stored in two degrees")
-                seen[m] = d
-
-
-@dataclass
-class E1Page:
-    window: Window
-    positive: TrigradedSpace
-    gamma_part: TrigradedSpace
-    q_part: TrigradedSpace
-
-    def spaces(self) -> Tuple[TrigradedSpace, ...]:
-        return (self.positive, self.gamma_part, self.q_part)
-
-    def at(self, d: TriDegree) -> Tuple[MonomialClass, ...]:
-        return tuple(
-            sorted(
-                self.positive.at(d) + self.gamma_part.at(d) + self.q_part.at(d),
-                key=lambda m: m.sort_key(),
-            )
-        )
 
 
 # --- tau-free edge monomials (the "underlying" classes) -----------------------
@@ -203,9 +148,10 @@ class E1Index:
 
     ``stored`` maps each nonempty stored degree of ``window`` to an object
     whose ``basis`` is that degree's sorted E1 basis (the run's degree
-    states). Degrees the window stores are answered from it, filtered by
-    cone; every other degree is enumerated once and memoized here. Without a
-    window every degree takes the memoized path.
+    states, built from ``build_e1``). Degrees the window stores are
+    answered from it, filtered by cone; every other degree is enumerated
+    once and memoized here. Without a window every degree takes the
+    memoized path.
     """
 
     def __init__(self, cat: Catalog, window: Optional[Window] = None,
@@ -227,46 +173,27 @@ class E1Index:
         return hit
 
 
-# --- windowed builders ---------------------------------------------------------
+# --- the windowed E1 page -----------------------------------------------------
 
 
 def _degree_box(window: Window) -> Iterator[TriDegree]:
+    """Every degree the window stores, in sorted order (weight rises as coweight falls)."""
     for s in range(window.min_stem, window.stored_max_stem + 1):
         for f in range(0, window.max_f + 1):
-            for c in range(window.stored_min_coweight, window.max_coweight + 1):
+            for c in range(window.max_coweight, window.stored_min_coweight - 1, -1):
                 yield TriDegree(s, f, s - c)
 
 
-def build_e1_positive(cat: Catalog, window: Window) -> TrigradedSpace:
-    """Positive cone E1 = edge monomials times rho and tau powers, windowed."""
-    space = TrigradedSpace()
-    for deg in _degree_box(window):
-        for m in enumerate_positive_at(cat, deg):
-            space.add(cat, m)
-    return space
+def build_e1(cat: Catalog, window: Window) -> Dict[TriDegree, Tuple[MonomialClass, ...]]:
+    """The sorted E1 basis of every nonempty degree the window stores.
 
-
-def build_e1_negative(cat: Catalog, window: Window) -> Tuple[TrigradedSpace, TrigradedSpace]:
-    """Gamma and Q parts of E1 in the window.
-
+    Keys come in sorted degree order, one ``enumerate_e1_at`` per degree.
     Every Q class is infinitely rho-divisible; the window truncates the
     towers at its stem edge and the boundary policy marks the cut.
     """
-    gamma_space = TrigradedSpace()
-    q_space = TrigradedSpace()
+    e1 = {}
     for deg in _degree_box(window):
-        for m in enumerate_gamma_at(cat, deg):
-            gamma_space.add(cat, m)
-        for m in enumerate_q_at(cat, deg):
-            q_space.add(cat, m)
-    return gamma_space, q_space
-
-
-def build_e1(cat: Catalog, window: Window) -> E1Page:
-    gamma_space, q_space = build_e1_negative(cat, window)
-    return E1Page(
-        window=window,
-        positive=build_e1_positive(cat, window),
-        gamma_part=gamma_space,
-        q_part=q_space,
-    )
+        basis = enumerate_e1_at(cat, deg)
+        if basis:
+            e1[deg] = tuple(basis)
+    return e1

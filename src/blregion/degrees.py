@@ -11,18 +11,14 @@ class TriDegree:
 
     Stems and weights may be negative (rho and tau both have negative
     entries). The Adams filtration of any stored class is homological and
-    must be >= 0 -- enforced by ``require_filtration`` wherever classes are
-    filed, while difference vectors (shifts) may carry f = -1.
+    >= 0 -- no window stores a degree with f < 0 and the E1 enumerators
+    return nothing there -- while difference vectors (shifts) may carry
+    f = -1.
     """
 
     s: int
     f: int
     w: int
-
-    def require_filtration(self) -> "TriDegree":
-        if self.f < 0:
-            raise ValueError(f"Adams filtration must be >= 0, got {self.f}")
-        return self
 
     @property
     def coweight(self) -> int:

@@ -1,171 +1,88 @@
 """GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints used as bit masks over a fixed ordered basis
-(bit i = basis element i), so addition is a single XOR and the word-parallel
-arithmetic comes for free. Matrices are lists of column vectors.
+(bit i = basis element i), so addition is a single XOR. A subspace is the
+plain list of its RREF rows: a row's pivot is its lowest set bit, the rows
+are sorted by pivot, and every row is zero at the pivots of the others.
+Such a list is unique for its span, so every routine here returns the same
+answer however the span was generated.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
-def rref(rows: Sequence[int], n_cols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
-    work = [r for r in rows if r]
-    reduced: List[int] = []
-    pivots: List[int] = []
-    for col in range(n_cols):
-        pivot_row = None
-        for i, r in enumerate(work):
-            if (r >> col) & 1:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        piv = work.pop(pivot_row)
-        work = [r ^ piv if (r >> col) & 1 else r for r in work]
-        reduced = [r ^ piv if (r >> col) & 1 else r for r in reduced]
-        reduced.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], sorted(pivots)
-
-
-def rank(rows: Sequence[int], n_cols: int) -> int:
-    return len(rref(rows, n_cols)[0])
-
-
-def reduce_vector(v: int, basis_rref: Sequence[int], pivots: Sequence[int]) -> int:
-    """Canonical coset representative of v modulo the span of an RREF basis."""
-    for row, p in zip(basis_rref, pivots):
-        if (v >> p) & 1:
+def reduce(v: int, rows: Sequence[int]) -> int:
+    """Canonical representative of v modulo span(rows): zero at every pivot."""
+    for row in rows:
+        if v & row & -row:
             v ^= row
     return v
 
 
-def in_span(v: int, basis_rref: Sequence[int], pivots: Sequence[int]) -> bool:
-    return reduce_vector(v, basis_rref, pivots) == 0
+def insert(rows: List[int], v: int) -> int:
+    """Add v to the span held in ``rows``, in place.
 
-
-class F2Matrix:
-    """A linear map F2^n -> F2^m stored as one int bitset per input column."""
-
-    def __init__(self, columns: Sequence[int], n_rows: int):
-        self.columns = list(columns)
-        self.n_rows = n_rows
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.columns)
-
-    def apply(self, v: int) -> int:
-        out = 0
-        i = 0
-        while v:
-            if v & 1:
-                out ^= self.columns[i]
-            v >>= 1
-            i += 1
-        return out
-
-    def rank(self) -> int:
-        return rank(self.columns, self.n_rows)
-
-    def image_basis(self) -> List[int]:
-        return rref(self.columns, self.n_rows)[0]
-
-    def kernel_basis(self) -> List[int]:
-        """Basis of {v : Mv = 0}, empty for injective maps.
-
-        Gaussian elimination on the columns, carrying the recording matrix:
-        column operations on M are mirrored on an identity block, and the
-        recorded combinations of the columns that become zero span the kernel.
-        """
-        cols = list(self.columns)
-        n = len(cols)
-        record = [1 << i for i in range(n)]
-        kernel: List[int] = []
-        for row in range(self.n_rows):
-            pivot = None
-            for i in range(n):
-                if cols[i] is not None and (cols[i] >> row) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            for i in range(n):
-                if i != pivot and cols[i] is not None and (cols[i] >> row) & 1:
-                    cols[i] ^= cols[pivot]
-                    record[i] ^= record[pivot]
-            cols[pivot] = None  # consumed as a pivot column
-        for i in range(n):
-            if cols[i] is not None and cols[i] == 0:
-                kernel.append(record[i])
-        return sorted(kernel)
-
-
-def kernel_basis(m: F2Matrix) -> List[int]:
-    return m.kernel_basis()
-
-
-def quotient_basis(
-    sub: Sequence[int], ambient_dim: int, allow_dependent: bool = False
-) -> List[int]:
-    """Coset representatives completing `sub` to a basis of F2^ambient_dim.
-
-    Representatives are the lexicographically smallest members of their
-    cosets when vectors are compared by their bit pattern from bit 0 up
-    (equivalently: fully reduced against the RREF of `sub` and of the
-    representatives already chosen, scanning standard basis vectors in
-    order). Deterministic across runs.
-
-    Raises ValueError on a linearly dependent `sub` unless
-    ``allow_dependent`` asks for implicit reduction.
+    Returns v reduced modulo the span before the insertion: 0 when v was
+    already in it, otherwise the new row.
     """
-    basis, pivots = rref(sub, ambient_dim)
-    if not allow_dependent and len(basis) != len([s for s in sub]):
-        raise ValueError(
-            "subspace generators are linearly dependent; "
-            "pass allow_dependent=True to reduce them first"
-        )
-    reps: List[int] = []
-    span_rows = list(basis)
-    span_pivots = list(pivots)
-    for i in range(ambient_dim):
-        v = reduce_vector(1 << i, span_rows, span_pivots)
-        if v == 0:
-            continue
-        reps.append(v)
-        # grow the span so later candidates reduce against chosen reps too
+    v = reduce(v, rows)
+    if v:
         low = v & -v
-        span_rows.append(v)
-        span_pivots.append(low.bit_length() - 1)
-        order = sorted(range(len(span_pivots)), key=lambda k: span_pivots[k])
-        span_rows = [span_rows[k] for k in order]
-        span_pivots = [span_pivots[k] for k in order]
-    return reps
+        at = len(rows)
+        for k, row in enumerate(rows):
+            if row & low:
+                rows[k] = row ^ v
+            if at == len(rows) and row & -row > low:
+                at = k
+        rows.insert(at, v)
+    return v
 
 
-def subquotient_basis(
-    cycles: Sequence[int], boundaries: Sequence[int], ambient_dim: int
-) -> List[int]:
-    """Representatives of a basis of span(cycles)/span(boundaries)."""
-    b_rref, b_piv = rref(boundaries, ambient_dim)
-    reps: List[int] = []
-    span_rows = list(b_rref)
-    span_pivots = list(b_piv)
-    for v in sorted(cycles):
-        v = reduce_vector(v, span_rows, span_pivots)
-        if v == 0:
-            continue
-        reps.append(v)
-        low = v & -v
-        span_rows.append(v)
-        span_pivots.append(low.bit_length() - 1)
-        order = sorted(range(len(span_pivots)), key=lambda k: span_pivots[k])
-        span_rows = [span_rows[k] for k in order]
-        span_pivots = [span_pivots[k] for k in order]
+def rref(rows: Sequence[int]) -> List[int]:
+    """The RREF rows of span(rows)."""
+    out: List[int] = []
+    for v in rows:
+        insert(out, v)
+    return out
+
+
+def solve(columns: Sequence[int], rhs: int) -> Tuple[Optional[int], List[int]]:
+    """Solve XOR of the chosen columns = rhs; returns (solution, kernel basis).
+
+    Columns are eliminated in order, each carrying its combination of the
+    input columns in the bits above the vector bits. The solution is a
+    bitmask over the columns that uses only columns independent of the ones
+    before them (None when rhs is outside the span). The kernel has one
+    vector per column that depends on the ones before it: that column plus
+    the earlier independent columns summing to it, in column order.
+    """
+    shift = max([rhs.bit_length()] + [c.bit_length() for c in columns])
+    vector_bits = (1 << shift) - 1
+    rows: List[int] = []
+    kernel: List[int] = []
+    for i, c in enumerate(columns):
+        v = reduce(c | 1 << (shift + i), rows)
+        if v & vector_bits:
+            insert(rows, v)
+        else:
+            kernel.append(v >> shift)
+    v = reduce(rhs, rows)
+    return (None if v & vector_bits else v >> shift), kernel
+
+
+def subquotient_basis(cycles: Sequence[int], boundaries: Sequence[int]) -> List[int]:
+    """Representatives of a basis of span(cycles)/span(boundaries).
+
+    ``boundaries`` is a subspace (RREF rows). Each cycle, smallest first, is
+    reduced modulo the boundaries and the representatives already chosen;
+    what is left nonzero is chosen. Returned sorted.
+    """
+    rows = list(boundaries)
+    reps = []
+    for c in sorted(cycles):
+        v = insert(rows, c)
+        if v:
+            reps.append(v)
     return sorted(reps)

@@ -220,10 +220,12 @@ def _resolve_family(cat: Catalog, exps: Dict[str, int]) -> Tuple[str, int, int, 
 
 def parse_monomial(cat: Catalog, text: str, k: int = 0) -> Optional[MonomialClass]:
     """Parse an expression like 'tau^3 P^{k} h_0^3 h_3', 'gamma/(rho^2 tau^{4k+2}) P^k h_1',
-    'Q/rho^{4k} h_1^{4k+1}' or '0' at a concrete parameter value k."""
+    'Q/rho^{4k} h_1^{4k+1}', '1' or '0' at a concrete parameter value k."""
     text = text.strip()
     if text == "0":
         return None
+    if text == "1":
+        return make_positive(cat)
     if text.startswith("Q"):
         rest = text[1:].strip()
         j = 0
@@ -268,6 +270,8 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
         lo, _, hi = parts[3].partition("..")
         k_min = int(lo)
         k_max = int(hi) if hi else None
+        if k_max is not None and k_max < k_min:
+            raise ValueError(f"empty k range {parts[3]!r} in rule line {line!r}")
 
     def source_of(c, k, _t=source_text):
         if k_max is not None and k > k_max:
@@ -284,10 +288,16 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
 
 
 def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
+    """Read an override file; every rule is evaluated at its ``k_min`` here, so
+    a malformed page, source or target raises ValueError at load time."""
     rules = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
-                rules.append(parse_rule_line(cat, line))
+                rule = parse_rule_line(cat, line)
+                rule.page_of(rule.k_min)
+                rule.source_of(cat, rule.k_min)
+                rule.target_of(cat, rule.k_min)
+                rules.append(rule)
     return rules

@@ -4,9 +4,9 @@ import pytest
 
 from blregion.bockstein import (
     BocksteinRun,
+    DegreeState,
     GammaPureOracle,
     PositiveOracle,
-    _collect_states,
     census_report,
     check_structural_constraints,
     expected_census_dimension,
@@ -20,6 +20,12 @@ from blregion.cones import build_e1
 from blregion.degrees import TriDegree, Window
 from blregion.monomials import Cone, degree_of, display, make_positive, make_q
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
+
+def fresh_run(cat, window):
+    """A run on its E1 page, before any page is resolved or turned."""
+    e1 = build_e1(cat, window)
+    return BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()})
+
 
 # The eight coweight-1 differential families, frozen: (page, source expr,
 # source degree formula, target expr, smallest k). Their rho-divided
@@ -190,8 +196,7 @@ def test_page_turn_dimensions_against_dense_oracle(cat):
 
     window = Window(max_stem=10)
     rules = seed_rules(cat)
-    e1 = build_e1(cat, window)
-    run = BocksteinRun(cat, window, e1, _collect_states(cat, e1))
+    run = fresh_run(cat, window)
     oracle = PositiveOracle(cat, rules)
     gpure = GammaPureOracle(cat, oracle)
     for r in schedule_pages(cat, window, rules):
@@ -289,13 +294,10 @@ def test_rule_override_changes_outcome(cat):
 
 def test_leibniz_closure_entry_point(cat):
     # the one-page closure resolves the first tau-power differentials
-    from blregion.bockstein import BocksteinRun, _collect_states, leibniz_closure
-    from blregion.cones import build_e1
-
-    window = Window(max_stem=6)
-    e1 = build_e1(cat, window)
-    run = BocksteinRun(cat, window, e1, _collect_states(cat, e1))
-    diffs = leibniz_closure(run, 1)
+    run = fresh_run(cat, Window(max_stem=6))
+    rules = seed_rules(cat)
+    oracle = PositiveOracle(cat, rules, run.index)
+    diffs = resolve_page(run, 1, rules, oracle, GammaPureOracle(cat, oracle), scheduled=False)
     tau = make_positive(cat, tau=1)
     assert diffs[tau].terms == {make_positive(cat, rho=1, h0=1)}
     assert diffs[make_positive(cat, tau=1, h0=2)].terms == {

@@ -119,6 +119,19 @@ def test_rules_override_flag(tmp_path):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("line", [
+    "3 | nosuch_symbol | 0 | 1..1",  # must fail at load, not inside the run
+    "3 | tau^{4k+4} | 0 | 2..1",
+], ids=["unknown-symbol", "empty-k-range"])
+def test_bad_rules_override_is_usage_error(tmp_path, line):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(line + "\n")
+    r = run_cli("--max-stem", "8", "--rules-override", str(rules))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("rule override error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_coweights_flag():
     r = run_cli("--report", "census", "--max-stem", "10", "--coweights=-1..1")
     assert r.returncode == 0

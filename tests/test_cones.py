@@ -3,7 +3,7 @@ import itertools
 from blregion.cones import (
     E1Index,
     _degree_box,
-    build_e1_positive,
+    build_e1,
     enumerate_e1_at,
     enumerate_gamma_at,
     enumerate_positive_at,
@@ -61,14 +61,27 @@ def test_e1_dimensions_match_brute_force(cat):
                 assert fast == slow, f"mismatch at {deg}"
 
 
+def positive_part(cat, window):
+    """build_e1 restricted to the positive cone, empty degrees dropped."""
+    e1 = {d: tuple(m for m in basis if m.cone is Cone.POSITIVE)
+          for d, basis in build_e1(cat, window).items()}
+    return {d: basis for d, basis in e1.items() if basis}
+
+
+def cone_part(run, cone):
+    """A run's E1 bases restricted to one cone, empty degrees dropped."""
+    part = {d: tuple(m for m in st.basis if m.cone is cone) for d, st in run.states.items()}
+    return {d: basis for d, basis in part.items() if basis}
+
+
 def test_coweight_zero_slice_is_free_on_h0_h1_rho(cat):
     w = Window(max_stem=3, stem_pad=0, max_f=6)
-    pos = build_e1_positive(cat, w)
+    pos = positive_part(cat, w)
     names = sorted(
         display(m)
-        for d in pos.basis
+        for d, basis in pos.items()
         if d.coweight == 0 and 0 <= d.s <= 3
-        for m in pos.at(d)
+        for m in basis
     )
     expected = {"1"}
     for e in range(1, 7):
@@ -84,12 +97,12 @@ def test_coweight_zero_slice_is_free_on_h0_h1_rho(cat):
 
 def test_stem_zero_column(cat):
     w = Window(max_stem=0, stem_pad=0, max_f=5)
-    pos = build_e1_positive(cat, w)
+    pos = positive_part(cat, w)
     cw0 = [
         display(m)
-        for d in pos.basis
+        for d, basis in pos.items()
         if d.coweight == 0 and d.s == 0
-        for m in pos.at(d)
+        for m in basis
     ]
     # the h0 tower plus the stem-0 tail of the rho/h1 wedge
     expected = {"1", "h_0", "h_0^2", "h_0^3", "h_0^4", "h_0^5",
@@ -102,9 +115,9 @@ def test_dimension_at_4_4_4_is_one(cat):
 
 
 def test_q_classes_present(cat, run10):
-    e1 = run10.e1
-    assert [display(m) for m in e1.q_part.at(TriDegree(5, 3, 5))] == ["Q h_1^4"]
-    assert [display(m) for m in e1.q_part.at(TriDegree(8, 3, 8))] == ["Q/rho^3 h_1^4"]
+    q_part = cone_part(run10, Cone.Q)
+    assert [display(m) for m in q_part[TriDegree(5, 3, 5)]] == ["Q h_1^4"]
+    assert [display(m) for m in q_part[TriDegree(8, 3, 8)]] == ["Q/rho^3 h_1^4"]
 
 
 def test_no_gamma_from_low_coweight_classes(cat):
@@ -115,29 +128,37 @@ def test_no_gamma_from_low_coweight_classes(cat):
 
 
 def test_q_towers_infinitely_divisible_in_window(cat, run10):
-    e1 = run10.e1
+    q_part = cone_part(run10, Cone.Q)
     window = run10.window
-    for d in e1.q_part.basis:
-        for m in e1.q_part.at(d):
+    for d, basis in q_part.items():
+        for m in basis:
             deeper = make_q(cat, m.rho + 1, m.family, m.k)
             ddeg = degree_of(cat, deeper)
             if window.stores(ddeg):
-                assert deeper in e1.q_part.at(ddeg)
+                assert deeper in q_part.get(ddeg, ())
                 assert module_action(cat, "rho", deeper) == m
 
 
 def test_gamma_vanishing_line_precheck(cat, run10):
     # negative coweight, positive stem, f > s/2 + 3/2: only stem-0 towers
-    for d in run10.e1.gamma_part.basis:
+    for d, basis in cone_part(run10, Cone.GAMMA).items():
         if d.coweight < 0 and d.s > 0 and 2 * d.f > d.s + 3:
-            for m in run10.e1.gamma_part.at(d):
+            for m in basis:
                 under = make_positive(cat, h0=m.h0, h1=m.h1, family=m.family, k=m.k)
                 assert degree_of(cat, under).s == 0
 
 
 def test_every_basis_label_filed_once(cat, run10):
-    for sp in run10.e1.spaces():
-        sp.validate(cat)
+    assert list(run10.states) == sorted(run10.states)
+    seen = set()
+    for d, st in run10.states.items():
+        assert run10.window.stores(d)
+        assert list(st.basis) == sorted(st.basis, key=lambda m: m.sort_key()), d
+        for m in st.basis:
+            assert degree_of(cat, m) == d, f"{display(m)} filed under {d}"
+            assert m not in seen, f"{display(m)} stored twice"
+            seen.add(m)
+    assert len(seen) > 1000
 
 
 def test_index_matches_enumerators(cat, run10):

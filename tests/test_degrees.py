@@ -1,7 +1,6 @@
 import random
 
-import pytest
-
+from blregion.cones import enumerate_e1_at
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window, coweight
 
 
@@ -28,9 +27,11 @@ def test_coweight_additive_and_commutative():
         assert coweight(a + b) == coweight(a) + coweight(b)
 
 
-def test_negative_filtration_rejected_for_classes():
-    with pytest.raises(ValueError):
-        TriDegree(0, -1, 0).require_filtration()
+def test_negative_filtration_rejected_for_classes(cat):
+    # no window stores a degree with f < 0, and E1 has no class there
+    for deg in (TriDegree(0, -1, 0), TriDegree(1, -1, 1), TriDegree(6, -1, 3)):
+        assert not Window().stores(deg)
+        assert enumerate_e1_at(cat, deg) == []
     # shift vectors may carry f = -1
     assert TriDegree(1, -1, 1).f == -1
 

@@ -105,6 +105,12 @@ def test_display_parse_roundtrip(cat):
         assert parse_monomial(cat, display(m)) == m
 
 
+def test_display_parse_roundtrip_over_e1(cat, run24):
+    classes = [m for st in run24.states.values() for m in st.basis]
+    assert make_positive(cat) in classes  # the unit displays as "1"
+    assert [display(m) for m in classes if parse_monomial(cat, display(m)) != m] == []
+
+
 def test_sort_key_orders_cones(cat):
     pos = make_positive(cat, h1=1)
     gam = make_gamma(cat, 0, 1)
@@ -126,7 +132,8 @@ def reference_degree(cat, m):
 
 def test_degree_of_matches_reference(cat, run24):
     deep = build_e1(cat, Window(max_stem=24, min_coweight=-6))
-    classes = [m for e1 in (run24.e1, deep) for sp in e1.spaces() for m in sp.classes()]
+    classes = [m for st in run24.states.values() for m in st.basis]
+    classes += [m for basis in deep.values() for m in basis]
     # E1 keeps only classes whose degree_of lands in the degree enumerated, so
     # also check monomials built straight from small exponents
     for family in [""] + sorted(cat.families):

@@ -1,4 +1,4 @@
-"""Property tests over randomly drawn monomials (needs hypothesis)."""
+"""Property tests over randomly drawn monomials and F2 matrices (needs hypothesis)."""
 
 import pytest
 
@@ -6,7 +6,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from blregion import gf2  # noqa: E402
+from blregion.cones import build_e1  # noqa: E402
+from blregion.degrees import Window  # noqa: E402
 from blregion.monomials import (  # noqa: E402
+    Cone,
     ProductError,
     degree_of,
     make_gamma,
@@ -76,3 +80,58 @@ def test_degree_is_additive_on_products(cat, data):
         product = None  # outside the wedge: no product to check
     assume(product is not None)
     assert degree_of(cat, product) == degree_of(cat, a) + degree_of(cat, b)
+
+
+@pytest.fixture(scope="module")
+def positive12(cat):
+    """Every positive-cone class of the stem-12 E1, in degree order."""
+    e1 = build_e1(cat, Window(max_stem=12))
+    return [m for basis in e1.values() for m in basis if m.cone is Cone.POSITIVE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_positive_products_associate(cat, positive12, data):
+    a, b, c = (data.draw(st.sampled_from(positive12), label=x) for x in "abc")
+
+    def times(x, y):
+        return None if x is None or y is None else multiply(cat, x, y)
+
+    try:
+        left, right = times(times(a, b), c), times(a, times(b, c))
+    except ProductError:
+        assume(False)  # two family roots: outside the wedge
+    assert left == right
+
+
+MATRICES = st.lists(st.integers(0, 2**9 - 1), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=MATRICES, rhs=st.integers(0, 2**9 - 1))
+def test_gf2_rank_nullity_and_solutions(cols, rhs):
+    sol, kernel = gf2.solve(cols, rhs)
+    assert len(gf2.rref(cols)) + len(kernel) == len(cols)
+    for kv in kernel:
+        assert _combine(cols, kv) == 0
+    if sol is None:
+        assert gf2.reduce(rhs, gf2.rref(cols)) != 0  # rhs outside the span
+    else:
+        assert _combine(cols, sol) == rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=MATRICES, v=st.integers(0, 2**9 - 1))
+def test_gf2_reduce_idempotent_within_coset(gens, v):
+    rows = gf2.rref(gens)
+    once = gf2.reduce(v, rows)
+    assert gf2.reduce(once, rows) == once
+    assert gf2.reduce(once ^ v, rows) == 0  # changed only by an element of the span
+
+
+def _combine(cols, mask):
+    out = 0
+    for i, c in enumerate(cols):
+        if (mask >> i) & 1:
+            out ^= c
+    return out

@@ -3,6 +3,7 @@ import pytest
 from blregion.degrees import TriDegree, Window
 from blregion.monomials import degree_of, make_gamma, make_positive, make_q
 from blregion.rules import (
+    load_rule_overrides,
     parse_monomial,
     parse_rule_line,
     seed_rules,
@@ -85,6 +86,17 @@ def test_rule_override_line(cat):
     assert inst.source == make_positive(cat, tau=6)
     assert inst.target == make_positive(cat, rho=2, tau=5, h1=1)
     assert rule.instance(cat, 3) is None  # k_max respected
+    with pytest.raises(ValueError):
+        parse_rule_line(cat, "2 | tau^{4k+2} | rho^2 tau^{4k+1} h_1 | 2..1")
+
+
+def test_override_file_parsed_at_load(cat, tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("3 | tau^{4k+4} | nosuch_symbol | 0..1\n")
+    with pytest.raises(ValueError):
+        load_rule_overrides(cat, path)
+    path.write_text("# comment only\n3 | tau^{4k+4} | 0 | 0..1\n")
+    assert [r.label for r in load_rule_overrides(cat, path)] == ["3 | tau^{4k+4} | 0 | 0..1"]
 
 
 def test_rule_instances_stay_inside_window(cat):
