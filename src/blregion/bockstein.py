@@ -1,14 +1,17 @@
 """The rho-Bockstein engine: rule seeding, Leibniz closure, page turning.
 
 Differentials are stored as values on basis monomials; matrices are only
-materialized per degree when a page is turned. A page differential is
-resolved from, in order: seeded rules, filtration or empty-target vanishing,
+materialized when a page is turned, and the turn touches only the degrees a
+nonzero d_r leaves or enters, so its work follows the differentials rather
+than the window. A page differential is resolved from, in order: seeded rules
+(indexed once per run by ``index_rules``), filtration or empty-target vanishing,
 the positive-cone factorization oracle, tensor factorizations of gamma
 classes through ruled pure-gamma divisors, annihilator relations
 (differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
 rho-tower transfer. A run holds E1 once: ``build_e1`` gives the basis of every
 stored degree, and each becomes a ``DegreeState`` whose cycles and
-boundaries are ``gf2`` RREF row lists. Every E1 basis the mechanisms consult
+boundaries are ``gf2`` RREF row lists, with its page representatives cached
+until the rows change. Every E1 basis the mechanisms consult
 comes from the run's ``E1Index``: stored degrees from the run's own states,
 the rest enumerated once per run. Anything still unresolved falls under the
 engine's declared closure assumption -- no differentials beyond the seeded
@@ -407,22 +410,47 @@ def annihilator_solve(
 # --- page states ----------------------------------------------------------------
 
 
-@dataclass
 class DegreeState:
-    degree: TriDegree
-    basis: Tuple[MonomialClass, ...]
-    cycles: List[int] = field(default_factory=list)      # RREF rows
-    boundaries: List[int] = field(default_factory=list)  # RREF rows, inside cycles
+    """The page in one tridegree: cycles and boundaries as ``gf2`` RREF rows.
+
+    ``reps()`` (one representative per page class) is cached. ``cycles`` and
+    ``boundaries`` are read-only tuples, and ``set_rows`` is the only way to
+    replace them; it drops the cache, so a cached answer always belongs to
+    the current rows.
+    """
+
+    __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps")
+
+    def __init__(self, degree: TriDegree, basis: Tuple[MonomialClass, ...],
+                 cycles: Sequence[int], boundaries: Sequence[int] = ()):
+        self.degree = degree
+        self.basis = basis
+        self.set_rows(cycles, boundaries)
 
     @classmethod
     def initial(cls, degree: TriDegree, basis: Tuple[MonomialClass, ...]) -> "DegreeState":
-        return cls(degree, basis, [1 << t for t in range(len(basis))], [])
+        return cls(degree, basis, [1 << t for t in range(len(basis))])
+
+    @property
+    def cycles(self) -> Tuple[int, ...]:
+        return self._cycles
+
+    @property
+    def boundaries(self) -> Tuple[int, ...]:  # inside the cycles
+        return self._boundaries
+
+    def set_rows(self, cycles: Sequence[int], boundaries: Sequence[int]) -> None:
+        self._cycles = tuple(cycles)
+        self._boundaries = tuple(boundaries)
+        self._reps = None
 
     def dim(self) -> int:
-        return len(self.cycles) - len(self.boundaries)
+        return len(self._cycles) - len(self._boundaries)
 
-    def reps(self) -> List[int]:
-        return gf2.subquotient_basis(self.cycles, self.boundaries)
+    def reps(self) -> Tuple[int, ...]:
+        if self._reps is None:
+            self._reps = tuple(gf2.subquotient_basis(self._cycles, self._boundaries))
+        return self._reps
 
     def vector(self, m: MonomialClass) -> int:
         return 1 << self.basis.index(m)
@@ -462,9 +490,22 @@ class BocksteinRun:
     pages_run: List[int] = field(default_factory=list)
     #: E1 bases of every degree the run asks about; lives as long as the run
     index: E1Index = field(init=False, repr=False)
+    #: the rule list last indexed by ``rule_index``, and its index
+    _rules: Optional[Tuple[DifferentialRule, ...]] = field(default=None, init=False, repr=False)
+    _rule_index: Dict[int, Dict[MonomialClass, RuleInstance]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.index = E1Index(self.cat, self.window, self.states)
+
+    def rule_index(self, rules: Sequence[DifferentialRule]
+                   ) -> Dict[int, Dict[MonomialClass, RuleInstance]]:
+        """``index_rules`` over this run's window, once per rule list."""
+        key = tuple(rules)
+        if key != self._rules:
+            self._rule_index = index_rules(self.cat, self.window, key)
+            self._rules = key
+        return self._rule_index
 
     def dimension(self, d: TriDegree) -> int:
         st = self.states.get(d)
@@ -484,25 +525,11 @@ class PageResolver:
     def __init__(self, run, r, rules, oracle, gpure, scheduled):
         self.run = run
         self.r = r
-        self.rules = rules
         self.oracle = oracle
         self.gpure = gpure
         self.scheduled = scheduled  # True for pages >= 4: rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
-        self.rule_index = self._index_rules()
-
-    def _index_rules(self) -> Dict[MonomialClass, RuleInstance]:
-        index: Dict[MonomialClass, RuleInstance] = {}
-        for rule in self.rules:
-            for inst in rule.instances_in(self.run.cat, self.run.window):
-                if inst.page != self.r:
-                    continue
-                if inst.source in index and index[inst.source].target != inst.target:
-                    raise ConflictError(
-                        f"two rules disagree on {display(inst.source)} at page {self.r}"
-                    )
-                index[inst.source] = inst
-        return index
+        self.rule_index = run.rule_index(rules).get(r, {})
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         return chain_of(self.run.cat, self.run.window, monos)
@@ -718,7 +745,7 @@ def _filtration_jump_ok(cat: Catalog, m: MonomialClass, val: Chain, r: int) -> b
 
 @dataclass
 class _DegreeMatrix:
-    reps: List[int]
+    reps: Tuple[int, ...]
     cols_page: List[int]   # image in target page coordinates (+ external bits)
     cols_raw: List[int]    # image in target E1 coordinates
     target: TriDegree
@@ -726,16 +753,19 @@ class _DegreeMatrix:
 
 
 def _page_matrices(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int):
+    """The d_r matrix of every source degree where some class has a nonzero value.
+
+    A value is nonzero when it has stored terms or an external part. Degrees
+    where d_r is zero on every class get no matrix.
+    """
     matrices: Dict[TriDegree, _DegreeMatrix] = {}
-    rep_cache: Dict[TriDegree, List[int]] = {}
-    for d, st in run.states.items():
-        if st.dim():
-            rep_cache[d] = st.reps()
-    for d, reps in rep_cache.items():
+    sources = sorted({degree_of(run.cat, m) for m, v in diffs.items() if v})
+    for d in sources:
         st = run.states[d]
+        reps = st.reps()
         target_deg = d + DIFFERENTIAL_SHIFT
         t_state = run.states.get(target_deg)
-        t_reps = rep_cache.get(target_deg, [])
+        t_reps = t_state.reps() if t_state is not None else ()
         externals: Dict[FrozenSet[MonomialClass], int] = {}
         cols_page, cols_raw = [], []
         for rep in reps:
@@ -776,6 +806,7 @@ def _page_matrices(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int)
 
 
 def _check_d_squared(run: BocksteinRun, matrices, r: int) -> None:
+    """d_r o d_r = 0 on every matrix; a degree with no matrix has d_r = 0."""
     for d, mat in matrices.items():
         nxt = matrices.get(mat.target)
         for c_i, col in enumerate(mat.cols_page):
@@ -793,10 +824,16 @@ def _check_d_squared(run: BocksteinRun, matrices, r: int) -> None:
 
 
 def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> None:
-    """Homology with respect to d_r, degree by degree."""
+    """Homology with respect to d_r, in the degrees a nonzero d_r leaves or enters.
+
+    Source degrees (a matrix from ``_page_matrices``) keep the kernel as
+    their new cycles; target degrees gain the images as boundaries. Every
+    other degree keeps its rows: with d_r zero on all of its classes the
+    kernel is the whole page there, and rref(boundaries + reps) is the
+    cycles it already has.
+    """
     matrices = _page_matrices(run, diffs, r)
     _check_d_squared(run, matrices, r)
-    new_cycles: Dict[TriDegree, List[int]] = {}
     new_boundaries: Dict[TriDegree, List[int]] = {}
     for d, mat in matrices.items():
         _, kernel = gf2.solve(mat.cols_page, 0)
@@ -807,25 +844,45 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
                 if (kv >> t) & 1:
                     v ^= mat.reps[t]
             lifted.append(v)
-        new_cycles[d] = gf2.rref(run.states[d].boundaries + lifted)
+        st = run.states[d]
+        st.set_rows(gf2.rref(st.boundaries + tuple(lifted)), st.boundaries)
         images = [v for v in mat.cols_raw if v]
         if images:
             new_boundaries.setdefault(mat.target, []).extend(images)
-    for d, st in run.states.items():
-        if d in new_cycles:
-            st.cycles = new_cycles[d]
-        add = new_boundaries.get(d)
-        if add:
-            st.boundaries = gf2.rref(st.boundaries + add)
-            st.cycles = gf2.rref(st.cycles + st.boundaries)
+    for d, add in new_boundaries.items():
+        st = run.states[d]
+        boundaries = gf2.rref(st.boundaries + tuple(add))
+        st.set_rows(gf2.rref(st.cycles + tuple(boundaries)), boundaries)
+
+
+def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]
+                ) -> Dict[int, Dict[MonomialClass, RuleInstance]]:
+    """Every rule instance whose source the window stores, by page and source.
+
+    One ``instances_in`` pass per rule. Two rules that give the same source
+    different targets on one page raise ``ConflictError``.
+    """
+    by_page: Dict[int, Dict[MonomialClass, RuleInstance]] = {}
+    for rule in rules:
+        for inst in rule.instances_in(cat, window):
+            page = by_page.setdefault(inst.page, {})
+            old = page.get(inst.source)
+            if old is not None and old.target != inst.target:
+                raise ConflictError(
+                    f"two rules disagree on {display(inst.source)} at page {inst.page}"
+                )
+            page[inst.source] = inst
+    return by_page
+
+
+def _schedule(by_page: Dict[int, Dict[MonomialClass, RuleInstance]]) -> List[int]:
+    """Pages 1..3, which run on every class, and every page a rule lands on."""
+    return sorted({1, 2, 3} | by_page.keys())
 
 
 def schedule_pages(cat: Catalog, window: Window, rules) -> List[int]:
-    pages = {1, 2, 3}
-    for rule in rules:
-        for inst in rule.instances_in(cat, window):
-            pages.add(inst.page)
-    return sorted(pages)
+    """The pages a run of ``rules`` in ``window`` turns, in order."""
+    return _schedule(index_rules(cat, window, rules))
 
 
 def run_bockstein(
@@ -841,7 +898,7 @@ def run_bockstein(
     run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()})
     oracle = PositiveOracle(cat, rules, run.index)
     gpure = GammaPureOracle(cat, oracle)
-    for r in schedule_pages(cat, window, rules):
+    for r in _schedule(run.rule_index(rules)):
         diffs = resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
         for m, val in diffs.items():
             if val and not _filtration_jump_ok(cat, m, val, r):

@@ -5,8 +5,9 @@ powers); the negative cone splits into the gamma part (tau-free edge classes
 under the infinitely divisible gamma/(rho^j tau^i)) and the Q part (torsion
 witnesses Q/rho^j on the tau-torsion families). Exact per-degree
 enumerators answer "what does E1 contain in this tridegree" anywhere;
-``build_e1`` applies them to every degree a window stores and returns the
-per-degree bases, the one form of E1 a run holds. The differential engine
+``build_e1`` applies them to every degree a window stores, listing the
+underlying classes once per filtration, and returns the per-degree bases,
+the one form of E1 a run holds. The differential engine
 does not call the enumerators directly: it asks an ``E1Index``, which
 answers degrees inside the window from the run's stored bases and
 enumerates every other degree once.
@@ -70,13 +71,17 @@ def _underlying_with_filtration(cat: Catalog, f: int) -> Iterator[MonomialClass]
                     yield m
 
 
-def enumerate_positive_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
-    """Exact E1 positive-cone basis of one tridegree (window-independent)."""
+def _underlying(cat: Catalog, f: int) -> List[Tuple[MonomialClass, TriDegree]]:
+    """``_underlying_with_filtration(cat, f)``, each class with its degree."""
+    return [(z, degree_of(cat, z)) for z in _underlying_with_filtration(cat, f)]
+
+
+def _positive_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
+    """Positive-cone basis of ``deg`` from ``_underlying(cat, deg.f)``."""
     if deg.f < 0 or deg.coweight < 0:
         return []
     out = []
-    for z in _underlying_with_filtration(cat, deg.f):
-        zdeg = degree_of(cat, z)
+    for z, zdeg in under:
         b = deg.coweight - zdeg.coweight
         a = zdeg.s - deg.s
         if b < 0 or a < 0:
@@ -87,15 +92,14 @@ def enumerate_positive_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
     return sorted(set(out), key=lambda m: m.sort_key())
 
 
-def enumerate_gamma_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
-    """Exact gamma-part basis of one tridegree."""
+def _gamma_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
+    """Gamma-part basis of ``deg`` from ``_underlying(cat, deg.f)``."""
     if deg.f < 0:
         return []
     out = []
-    for x in _underlying_with_filtration(cat, deg.f):
+    for x, xdeg in under:
         if not x.family and x.h1 >= 4:
             continue  # tau-torsion: not in the tau-free part
-        xdeg = degree_of(cat, x)
         i = xdeg.coweight - 1 - deg.coweight
         j = deg.s - xdeg.s
         if i < 1 or j < 0:
@@ -104,6 +108,16 @@ def enumerate_gamma_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
         if m is not None and degree_of(cat, m) == deg:
             out.append(m)
     return sorted(set(out), key=lambda m: m.sort_key())
+
+
+def enumerate_positive_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
+    """Exact E1 positive-cone basis of one tridegree (window-independent)."""
+    return _positive_at(cat, deg, _underlying(cat, deg.f))
+
+
+def enumerate_gamma_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
+    """Exact gamma-part basis of one tridegree."""
+    return _gamma_at(cat, deg, _underlying(cat, deg.f))
 
 
 def enumerate_q_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
@@ -128,6 +142,14 @@ def enumerate_q_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
     return sorted(set(out), key=lambda m: m.sort_key())
 
 
+def _e1_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
+    """All three cones of ``deg``, from ``_underlying(cat, deg.f)``, sorted."""
+    return sorted(
+        _positive_at(cat, deg, under) + _gamma_at(cat, deg, under) + enumerate_q_at(cat, deg),
+        key=lambda m: m.sort_key(),
+    )
+
+
 def enumerate_e1_at(cat: Catalog, deg: TriDegree, cone: Optional[Cone] = None) -> List[MonomialClass]:
     if cone is Cone.POSITIVE:
         return enumerate_positive_at(cat, deg)
@@ -135,12 +157,7 @@ def enumerate_e1_at(cat: Catalog, deg: TriDegree, cone: Optional[Cone] = None) -
         return enumerate_gamma_at(cat, deg)
     if cone is Cone.Q:
         return enumerate_q_at(cat, deg)
-    return sorted(
-        enumerate_positive_at(cat, deg)
-        + enumerate_gamma_at(cat, deg)
-        + enumerate_q_at(cat, deg),
-        key=lambda m: m.sort_key(),
-    )
+    return _e1_at(cat, deg, _underlying(cat, deg.f))
 
 
 class E1Index:
@@ -187,13 +204,17 @@ def _degree_box(window: Window) -> Iterator[TriDegree]:
 def build_e1(cat: Catalog, window: Window) -> Dict[TriDegree, Tuple[MonomialClass, ...]]:
     """The sorted E1 basis of every nonempty degree the window stores.
 
-    Keys come in sorted degree order, one ``enumerate_e1_at`` per degree.
-    Every Q class is infinitely rho-divisible; the window truncates the
-    towers at its stem edge and the boundary policy marks the cut.
+    Keys come in sorted degree order. The underlying classes of each
+    filtration f and their degrees are computed once (``_underlying``) and
+    shared by every stored degree of filtration f, so the result equals
+    ``enumerate_e1_at`` degree by degree. Every Q class is infinitely
+    rho-divisible; the window truncates the towers at its stem edge and the
+    boundary policy marks the cut.
     """
+    under = {f: _underlying(cat, f) for f in range(window.max_f + 1)}
     e1 = {}
     for deg in _degree_box(window):
-        basis = enumerate_e1_at(cat, deg)
+        basis = _e1_at(cat, deg, under[deg.f])
         if basis:
             e1[deg] = tuple(basis)
     return e1

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .catalog import Catalog
-from .degrees import Window
+from .degrees import DIFFERENTIAL_SHIFT, Window
 from .monomials import (
     Cone,
     MonomialClass,
     degree_of,
+    display,
     make_gamma,
     make_positive,
     make_q,
@@ -289,7 +290,8 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
 
 def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
     """Read an override file; every rule is evaluated at its ``k_min`` here, so
-    a malformed page, source or target raises ValueError at load time."""
+    a malformed page, source or target, or a target outside the source's
+    degree plus ``DIFFERENTIAL_SHIFT``, raises ValueError at load time."""
     rules = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -297,7 +299,16 @@ def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
             if line:
                 rule = parse_rule_line(cat, line)
                 rule.page_of(rule.k_min)
-                rule.source_of(cat, rule.k_min)
-                rule.target_of(cat, rule.k_min)
+                source = rule.source_of(cat, rule.k_min)
+                target = rule.target_of(cat, rule.k_min)
+                if source is not None and target is not None:
+                    want = degree_of(cat, source) + DIFFERENTIAL_SHIFT
+                    got = degree_of(cat, target)
+                    if got != want:
+                        raise ValueError(
+                            f"target {display(target)} of rule {line!r} lies in {got}, "
+                            f"not in {want} (the degree of {display(source)} plus "
+                            f"{DIFFERENTIAL_SHIFT})"
+                        )
                 rules.append(rule)
     return rules

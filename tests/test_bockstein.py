@@ -2,7 +2,9 @@
 
 import pytest
 
+from blregion import gf2
 from blregion.bockstein import (
+    ZERO,
     BocksteinRun,
     DegreeState,
     GammaPureOracle,
@@ -17,7 +19,7 @@ from blregion.bockstein import (
     turn_page,
 )
 from blregion.cones import build_e1
-from blregion.degrees import TriDegree, Window
+from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from blregion.monomials import Cone, degree_of, display, make_positive, make_q
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
 
@@ -249,6 +251,101 @@ def test_page_turn_dimensions_against_dense_oracle(cat):
             assert run.states[d].dim() == kernel_dim - inc, f"page {r} at {d}"
             checked += 1
         assert checked > 50
+
+
+def _dense_turn(states, diffs, r):
+    """The dense page turn, kept as the reference for the sparse one.
+
+    Every nonempty degree gets a d_r matrix, zero or not, and every degree
+    with a matrix gets new cycles. Representatives come from a fresh
+    ``gf2.subquotient_basis``, not from the states' cache.
+    """
+    reps_of = {d: gf2.subquotient_basis(st.cycles, st.boundaries)
+               for d, st in states.items() if st.dim()}
+    new_cycles, new_boundaries = {}, {}
+    for d, reps in reps_of.items():
+        st = states[d]
+        target = d + DIFFERENTIAL_SHIFT
+        t_state = states.get(target)
+        t_reps = reps_of.get(target, [])
+        externals = {}
+        cols_page, cols_raw = [], []
+        for rep in reps:
+            ch = ZERO
+            for t, mono in enumerate(st.basis):
+                if (rep >> t) & 1:
+                    ch ^= diffs.get(mono, ZERO)
+            raw = 0
+            for mono in ch.terms:
+                raw ^= t_state.vector(mono)
+            page_vec = 0
+            reduced = t_state.reduce_mod_boundaries(raw) if raw else 0
+            if reduced:
+                page_vec, _ = gf2.solve(t_reps, reduced)
+            if ch.external:
+                externals.setdefault(ch.external, len(externals))
+                page_vec |= 1 << (len(t_reps) + externals[ch.external])
+            cols_page.append(page_vec)
+            cols_raw.append(raw)
+        _, kernel = gf2.solve(cols_page, 0)
+        lifted = [_sum_rows(reps, kv) for kv in kernel]
+        new_cycles[d] = gf2.rref(list(st.boundaries) + lifted)
+        new_boundaries.setdefault(target, []).extend(v for v in cols_raw if v)
+    for d, st in states.items():
+        cycles = new_cycles.get(d, st.cycles)
+        boundaries = st.boundaries
+        if new_boundaries.get(d):
+            boundaries = gf2.rref(list(boundaries) + new_boundaries[d])
+            cycles = gf2.rref(list(cycles) + boundaries)
+        st.set_rows(cycles, boundaries)
+
+
+def _sum_rows(rows, mask):
+    """XOR of the rows picked by the bits of mask."""
+    v = 0
+    for t, row in enumerate(rows):
+        if (mask >> t) & 1:
+            v ^= row
+    return v
+
+
+def _pages(cat, window):
+    """Yield (run, r, diffs) for each page of a hand-driven run, before its turn."""
+    rules = seed_rules(cat)
+    run = fresh_run(cat, window)
+    oracle = PositiveOracle(cat, rules, run.index)
+    gpure = GammaPureOracle(cat, oracle)
+    for r in schedule_pages(cat, window, rules):
+        yield run, r, resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
+
+
+@pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
+                         ids=["cw-2..1", "cw-6..1"])
+def test_sparse_turn_matches_dense_reference(cat, window):
+    turned = 0
+    for run, r, diffs in _pages(cat, window):
+        ref = {d: DegreeState(d, st.basis, st.cycles, st.boundaries)
+               for d, st in run.states.items()}
+        _dense_turn(ref, diffs, r)
+        turn_page(run, diffs, r)
+        for d, st in run.states.items():
+            assert (st.cycles, st.boundaries) == (ref[d].cycles, ref[d].boundaries), (
+                f"page {r} at {d}"
+            )
+        turned += any(diffs.values())
+    assert turned >= 4
+
+
+def test_cached_reps_match_fresh_subquotient(cat):
+    pages = 0
+    for run, r, diffs in _pages(cat, Window(max_stem=12)):
+        turn_page(run, diffs, r)
+        for d, st in run.states.items():
+            assert list(st.reps()) == gf2.subquotient_basis(st.cycles, st.boundaries), (
+                f"page {r} at {d}"
+            )
+        pages += 1
+    assert pages >= 4
 
 
 def test_forced_differential_inference_without_seeds(cat):

@@ -122,7 +122,8 @@ def test_rules_override_flag(tmp_path):
 @pytest.mark.parametrize("line", [
     "3 | nosuch_symbol | 0 | 1..1",  # must fail at load, not inside the run
     "3 | tau^{4k+4} | 0 | 2..1",
-], ids=["unknown-symbol", "empty-k-range"])
+    "1 | h_1 | rho h_0 | 0..0",  # target outside deg(h_1) + (-1,1,0)
+], ids=["unknown-symbol", "empty-k-range", "target-off-degree"])
 def test_bad_rules_override_is_usage_error(tmp_path, line):
     rules = tmp_path / "rules.txt"
     rules.write_text(line + "\n")

@@ -178,3 +178,18 @@ def test_index_matches_enumerators(cat, run10):
             want = enumerate_at(cat, deg)
             assert list(run10.index.at(deg, cone)) == want, (deg, cone)
             assert list(windowless.at(deg, cone)) == want, (deg, cone)
+
+
+def test_build_e1_matches_enumerators_on_deep_coweights(cat):
+    # build_e1 shares one underlying pass per filtration across the whole box;
+    # each degree must still get exactly what the per-degree enumerator gives
+    window = Window(max_stem=16, min_coweight=-6)
+    e1 = build_e1(cat, window)
+    want = {}
+    for deg in _degree_box(window):
+        basis = enumerate_e1_at(cat, deg)
+        if basis:
+            want[deg] = tuple(basis)
+    assert list(e1) == list(want)
+    assert e1 == want
+    assert any(d.coweight < -3 for d in e1)

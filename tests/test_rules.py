@@ -97,6 +97,12 @@ def test_override_file_parsed_at_load(cat, tmp_path):
         load_rule_overrides(cat, path)
     path.write_text("# comment only\n3 | tau^{4k+4} | 0 | 0..1\n")
     assert [r.label for r in load_rule_overrides(cat, path)] == ["3 | tau^{4k+4} | 0 | 0..1"]
+    # a target must lie at the source's degree plus (-1, 1, 0)
+    path.write_text("1 | h_1 | rho h_0 | 0..0\n")
+    with pytest.raises(ValueError, match="rho h_0"):
+        load_rule_overrides(cat, path)
+    path.write_text("1 | tau^{2k+1} | rho tau^{2k} h_0 | 0..3\n")
+    assert len(load_rule_overrides(cat, path)) == 1
 
 
 def test_rule_instances_stay_inside_window(cat):
