@@ -1,23 +1,28 @@
 """The rho-Bockstein engine: rule seeding, Leibniz closure, page turning.
 
-Differentials are stored as values on basis monomials; matrices are only
-materialized when a page is turned, and the turn touches only the degrees a
-nonzero d_r leaves or enters, so its work follows the differentials rather
-than the window. A page differential is resolved from, in order: seeded rules
-(indexed once per run by ``index_rules``), filtration or empty-target vanishing,
+A ``BocksteinRun`` owns everything its page loop consults, built once from
+its catalog, window, E1 states and rules: the ``E1Index``, the rule
+instances by page (``index_rules``), the page schedule (pages 1..3 and every
+page a rule lands on) and the two oracles. ``resolve_page(run, r)`` then
+needs only the run and the page. Differentials are stored as values on basis
+monomials; matrices are only materialized when a page is turned, and the
+turn touches only the degrees a nonzero d_r leaves or enters, so its work
+follows the differentials rather than the window. A page differential is
+resolved from, in order: seeded rules, filtration or empty-target vanishing,
 the positive-cone factorization oracle, tensor factorizations of gamma
 classes through ruled pure-gamma divisors, annihilator relations
 (differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
-rho-tower transfer. A run holds E1 once: ``build_e1`` gives the basis of every
-stored degree, and each becomes a ``DegreeState`` whose cycles and
-boundaries are ``gf2`` RREF row lists, with its page representatives cached
-until the rows change. Every E1 basis the mechanisms consult
-comes from the run's ``E1Index``: stored degrees from the run's own states,
-the rest enumerated once per run. Anything still unresolved falls under the
-engine's declared closure assumption -- no differentials beyond the seeded
-ones and their closure -- and is assigned zero with a log entry; the
-structural checks and the census validate the assumption, while conflicting
-derivations raise instead of guessing.
+rho-tower transfer; pages past 3 use only rules, vanishing and transfer.
+A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
+and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
+RREF row lists, with its page representatives cached until the rows change.
+Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
+``E1Index.targets(m, r)`` is the one answer to "which classes can d_r(m)
+hit". Anything still unresolved falls under the engine's declared closure
+assumption -- no differentials beyond the seeded ones and their closure --
+and is assigned zero with a log entry; the structural checks and the census
+validate the assumption, while conflicting derivations raise instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -102,6 +107,10 @@ def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chai
 # --- positive-cone oracle -------------------------------------------------------
 
 
+#: how many family parameters k, from a rule's k_min, the oracle indexes
+FAMILY_K_SPAN = 48
+
+
 class PositiveOracle:
     """Symbolic page differentials and survival for positive-cone monomials.
 
@@ -111,21 +120,16 @@ class PositiveOracle:
     follow by the Leibniz rule over the factorization rho^a tau^b z.
     """
 
-    def __init__(
-        self,
-        cat: Catalog,
-        rules: Sequence[DifferentialRule],
-        index: Optional[E1Index] = None,
-        k_span: int = 48,
-    ):
+    def __init__(self, cat: Catalog, rules: Sequence[DifferentialRule],
+                 index: Optional[E1Index] = None):
         self.cat = cat
         self.index = index if index is not None else E1Index(cat)
-        self._fam_rules = self._index_family_rules(rules, k_span)
+        self._fam_rules = self._index_family_rules(rules)
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
         self._alive_memo: Dict[Tuple[MonomialClass, int], bool] = {}
 
-    def _index_family_rules(self, rules, k_span):
-        """Positive-cone rule sources keyed by (family, k, rho, tau, h0, h1)."""
+    def _index_family_rules(self, rules) -> Dict[MonomialClass, RuleInstance]:
+        """Instances of the positive-cone family rules, keyed by source."""
         index = {}
         for rule in rules:
             probe = rule.instance(self.cat, rule.k_min)
@@ -133,12 +137,11 @@ class PositiveOracle:
                 continue
             if not probe.source.family:
                 continue  # tau-power rules are built in
-            for k in range(rule.k_min, rule.k_min + k_span):
+            for k in range(rule.k_min, rule.k_min + FAMILY_K_SPAN):
                 inst = rule.instance(self.cat, k)
                 if inst is None:
                     break
-                s = inst.source
-                index[(s.family, s.k, s.rho, s.tau, s.h0, s.h1)] = inst
+                index[inst.source] = inst
         return index
 
     def tau_power_d(self, b: int, r: int):
@@ -164,10 +167,7 @@ class PositiveOracle:
         fam = cat.families[z.family]
         if fam.permanent_cycle and fam.perm_tau_prefix == 0:
             return True
-        target = degree_of(cat, z) + DIFFERENTIAL_SHIFT
-        if target.f < 0:
-            return True
-        return not any(m.rho == r for m in self.index.at(target, Cone.POSITIVE))
+        return not self.index.targets(z, r)
 
     def d(self, m: MonomialClass, r: int):
         """Resolved d_r(m) as a list of monomials, None for zero, or _UNKNOWN."""
@@ -187,15 +187,12 @@ class PositiveOracle:
         if m.cone is not Cone.POSITIVE:
             raise EngineError("positive oracle fed a negative-cone monomial")
         a, b = m.rho, m.tau
-        target = degree_of(cat, m) + DIFFERENTIAL_SHIFT
-        if target.coweight < 0 or not any(
-            c.rho == a + r for c in self.index.at(target, Cone.POSITIVE)
-        ):
+        if not self.index.targets(m, r):
             return None  # empty target degree: vanishing is forced
         if m.family:
             # exact rule match modulo rho and tau^4 factors (tau^4 is a cycle here)
             for strip in range(0, b // 4 + 1):
-                inst = self._fam_rules.get((m.family, m.k, 0, b - 4 * strip, m.h0, m.h1))
+                inst = self._fam_rules.get(replace(m, rho=0, tau=b - 4 * strip))
                 if inst is not None and inst.page == r:
                     if inst.target is None:
                         return None
@@ -233,42 +230,32 @@ class PositiveOracle:
         return ok
 
     def _alive_raw(self, m: MonomialClass, r: int) -> bool:
-        cat = self.cat
-        deg = degree_of(cat, m)
+        src_deg = degree_of(self.cat, m) + TriDegree(1, -1, 0)
         for q in range(1, r):
             val = self.d(m, q)
-            if val is _UNKNOWN or val:
+            if val is _UNKNOWN or val or self._hit_on(m, src_deg, q):
                 return False
-            if m.rho >= q:
-                src_deg = deg + TriDegree(1, -1, 0)
-                if src_deg.f < 0:
-                    continue
-                for s in self.index.at(src_deg, Cone.POSITIVE):
-                    if s.rho != m.rho - q or not self.alive(s, q):
-                        continue
-                    sval = self.d(s, q)
-                    if sval is not _UNKNOWN and sval and m in sval:
-                        return False
         return True
 
     def certified_dead_by(self, m: MonomialClass, r: int) -> bool:
         """Positive certificate that m dies strictly before page r (pages <= 3)."""
-        cat = self.cat
-        deg = degree_of(cat, m)
+        src_deg = degree_of(self.cat, m) + TriDegree(1, -1, 0)
         for q in range(1, min(r, 4)):
             val = self.d(m, q)
-            if val is not _UNKNOWN and val:
-                return True  # supports an earlier nonzero differential
-            if m.rho >= q:
-                src_deg = deg + TriDegree(1, -1, 0)
-                if src_deg.f < 0:
-                    continue
-                for s in self.index.at(src_deg, Cone.POSITIVE):
-                    if s.rho != m.rho - q or not self.alive(s, q):
-                        continue
-                    sval = self.d(s, q)
-                    if sval is not _UNKNOWN and sval and m in sval:
-                        return True  # certified hit
+            if (val is not _UNKNOWN and val) or self._hit_on(m, src_deg, q):
+                return True  # an earlier nonzero differential leaves or hits m
+        return False
+
+    def _hit_on(self, m: MonomialClass, src_deg: TriDegree, q: int) -> bool:
+        """Whether a certified page-q class of ``src_deg`` has m in its known d_q."""
+        if m.rho < q or src_deg.f < 0:
+            return False
+        for s in self.index.at(src_deg, Cone.POSITIVE):
+            if s.rho != m.rho - q or not self.alive(s, q):
+                continue
+            sval = self.d(s, q)
+            if sval is not _UNKNOWN and sval and m in sval:
+                return True
         return False
 
 
@@ -354,15 +341,9 @@ def annihilator_solve(
         if status is False:
             rhs = None  # dead on the page: the relation reads zero
 
-    target = degree_of(cat, src) + DIFFERENTIAL_SHIFT
-    filt = src.filtration() + r
-    if filt > 0:
+    if src.filtration() + r > 0:
         return None
-    candidates = [
-        m
-        for m in oracle.index.at(target, Cone.GAMMA) + oracle.index.at(target, Cone.Q)
-        if m.filtration() == filt
-    ]
+    candidates = oracle.index.targets(src, r)
     if alive is not None:
         candidates = [m for m in candidates if alive(m) is not False]
     if not candidates:
@@ -478,34 +459,38 @@ class AssumptionLog:
 
 @dataclass
 class BocksteinRun:
+    """One run of ``rules`` in ``window``: its pages and what resolves them.
+
+    The E1 index, the rule instances, the page schedule and both oracles
+    are built once, from the first four fields, and live as long as the run.
+    """
+
     cat: Catalog
     window: Window
     #: the page in every nonempty stored degree, in sorted degree order
     states: Dict[TriDegree, DegreeState]
+    rules: Sequence[DifferentialRule]
     #: page-true nonzero values (raw chains reduced modulo boundaries)
     differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
     #: values as resolved, before the page projection
     raw_differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
     assumptions: AssumptionLog = field(default_factory=AssumptionLog)
     pages_run: List[int] = field(default_factory=list)
-    #: E1 bases of every degree the run asks about; lives as long as the run
+    #: E1 bases of every degree the run asks about
     index: E1Index = field(init=False, repr=False)
-    #: the rule list last indexed by ``rule_index``, and its index
-    _rules: Optional[Tuple[DifferentialRule, ...]] = field(default=None, init=False, repr=False)
-    _rule_index: Dict[int, Dict[MonomialClass, RuleInstance]] = field(
-        default_factory=dict, init=False, repr=False)
+    oracle: PositiveOracle = field(init=False, repr=False)
+    gpure: GammaPureOracle = field(init=False, repr=False)
+    #: the rule instances whose source the window stores, by page and source
+    rule_instances: Dict[int, Dict[MonomialClass, RuleInstance]] = field(init=False, repr=False)
+    #: pages 1..3, which run on every class, then every page a rule lands on
+    schedule: List[int] = field(init=False)
 
     def __post_init__(self):
         self.index = E1Index(self.cat, self.window, self.states)
-
-    def rule_index(self, rules: Sequence[DifferentialRule]
-                   ) -> Dict[int, Dict[MonomialClass, RuleInstance]]:
-        """``index_rules`` over this run's window, once per rule list."""
-        key = tuple(rules)
-        if key != self._rules:
-            self._rule_index = index_rules(self.cat, self.window, key)
-            self._rules = key
-        return self._rule_index
+        self.oracle = PositiveOracle(self.cat, self.rules, self.index)
+        self.gpure = GammaPureOracle(self.cat, self.oracle)
+        self.rule_instances = index_rules(self.cat, self.window, self.rules)
+        self.schedule = sorted({1, 2, 3} | self.rule_instances.keys())
 
     def dimension(self, d: TriDegree) -> int:
         st = self.states.get(d)
@@ -520,33 +505,19 @@ class BocksteinRun:
 
 
 class PageResolver:
-    """Resolves d_r on all alive monomials of one page."""
+    """Resolves d_r on all alive monomials of one page of ``run``."""
 
-    def __init__(self, run, r, rules, oracle, gpure, scheduled):
+    def __init__(self, run: BocksteinRun, r: int):
         self.run = run
         self.r = r
-        self.oracle = oracle
-        self.gpure = gpure
-        self.scheduled = scheduled  # True for pages >= 4: rules and transfer only
+        self.oracle = run.oracle
+        self.gpure = run.gpure
+        self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
-        self.rule_index = run.rule_index(rules).get(r, {})
+        self.rule_instances = run.rule_instances.get(r, {})
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         return chain_of(self.run.cat, self.run.window, monos)
-
-    def _target_candidates(self, m: MonomialClass) -> List[MonomialClass]:
-        index = self.run.index
-        target = degree_of(self.run.cat, m) + DIFFERENTIAL_SHIFT
-        if target.f < 0:
-            return []
-        filt = m.filtration() + self.r
-        if m.cone is Cone.POSITIVE:
-            pool = index.at(target, Cone.POSITIVE)
-        else:
-            if filt > 0:
-                return []
-            pool = index.at(target, Cone.GAMMA) + index.at(target, Cone.Q)
-        return [c for c in pool if c.filtration() == filt]
 
     def resolve(self, m: MonomialClass):
         if m in self.values:
@@ -557,10 +528,10 @@ class PageResolver:
         return val
 
     def _resolve_raw(self, m: MonomialClass):
-        inst = self.rule_index.get(m)
+        inst = self.rule_instances.get(m)
         if inst is not None:
             return self._chain([inst.target] if inst.target else [])
-        if not self._target_candidates(m):
+        if not self.run.index.targets(m, self.r):
             return ZERO  # empty target in the full E1: forced zero
         if m.cone is Cone.POSITIVE:
             val = self.oracle.d(m, self.r)
@@ -604,13 +575,8 @@ class PageResolver:
 
     def _page_alive(self, m: MonomialClass):
         """True/False page survival for stored monomials, None outside."""
-        deg = degree_of(self.run.cat, m)
-        if not self.run.window.stores(deg):
-            return None
-        st = self.run.states.get(deg)
-        if st is None or m not in st.basis:
-            return False
-        return st.monomial_alive(m)
+        run = self.run
+        return run.monomial_alive(m) if run.window.stores(degree_of(run.cat, m)) else None
 
     # --- transfer passes (use neighbors' resolved values) ------------------------
 
@@ -665,7 +631,7 @@ class PageResolver:
         run, cat, r = self.run, self.run.cat, self.r
         if shallow_value.external:
             return _UNKNOWN
-        candidates = self._target_candidates(m)
+        candidates = run.index.targets(m, r)
         if not candidates:
             return ZERO if not shallow_value.terms else _UNKNOWN
         target_deg = degree_of(cat, m) + DIFFERENTIAL_SHIFT
@@ -708,8 +674,9 @@ def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
     return sorted(monos, key=lambda m: (m.rho, m.k, m.h0 + m.h1, m.sort_key()))
 
 
-def resolve_page(run, r, rules, oracle, gpure, scheduled) -> Dict[MonomialClass, Chain]:
-    resolver = PageResolver(run, r, rules, oracle, gpure, scheduled)
+def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
+    """d_r of every class on page r, zero (and logged) where nothing resolves it."""
+    resolver = PageResolver(run, r)
     needed: Set[MonomialClass] = set()
     for st in run.states.values():
         if not st.dim():
@@ -738,7 +705,7 @@ def resolve_page(run, r, rules, oracle, gpure, scheduled) -> Dict[MonomialClass,
 # --- page turning ---------------------------------------------------------------
 
 
-def _filtration_jump_ok(cat: Catalog, m: MonomialClass, val: Chain, r: int) -> bool:
+def _filtration_jump_ok(m: MonomialClass, val: Chain, r: int) -> bool:
     want = m.filtration() + r
     return all(t.filtration() == want for t in itertools.chain(val.terms, val.external))
 
@@ -875,16 +842,6 @@ def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]
     return by_page
 
 
-def _schedule(by_page: Dict[int, Dict[MonomialClass, RuleInstance]]) -> List[int]:
-    """Pages 1..3, which run on every class, and every page a rule lands on."""
-    return sorted({1, 2, 3} | by_page.keys())
-
-
-def schedule_pages(cat: Catalog, window: Window, rules) -> List[int]:
-    """The pages a run of ``rules`` in ``window`` turns, in order."""
-    return _schedule(index_rules(cat, window, rules))
-
-
 def run_bockstein(
     cat: Catalog,
     window: Optional[Window] = None,
@@ -895,13 +852,11 @@ def run_bockstein(
     window = window or Window()
     rules = list(rules if rules is not None else seed_rules(cat)) + list(extra_rules)
     e1 = build_e1(cat, window)
-    run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()})
-    oracle = PositiveOracle(cat, rules, run.index)
-    gpure = GammaPureOracle(cat, oracle)
-    for r in _schedule(run.rule_index(rules)):
-        diffs = resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
+    run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()}, rules)
+    for r in run.schedule:
+        diffs = resolve_page(run, r)
         for m, val in diffs.items():
-            if val and not _filtration_jump_ok(cat, m, val, r):
+            if val and not _filtration_jump_ok(m, val, r):
                 raise ConflictError(
                     f"d_{r}({display(m)}) = {val.describe()} breaks the filtration jump"
                 )

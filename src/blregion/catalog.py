@@ -76,9 +76,6 @@ class Catalog:
     def tau(self) -> TriDegree:
         return self.symbols["tau"]
 
-    def family(self, name: str) -> GeneratorFamily:
-        return self.families[name]
-
     def gamma_degree(self, rho_div: int, tau_div: int) -> TriDegree:
         """Degree of gamma/(rho^j tau^i); gamma/tau sits in (0,0,2)."""
         base = TriDegree(0, 0, 2)
@@ -139,6 +136,8 @@ def _consistency_rows(cat: Catalog):
     g = cat.gamma_degree
 
     def fam(name, k):
+        if name not in cat.families:
+            raise CatalogError(f"missing family row {name!r}")
         return cat.families[name].degree(k)
 
     tau_deg, rho_deg = cat.tau, cat.rho
@@ -285,12 +284,11 @@ def load_catalog(path=None) -> Catalog:
         h0_height = _parse_height(h0_text, "h0_height", line_no)
         h1_height = _parse_height(h1_text, "h1_height", line_no)
         permanent = perm_text == "1"
-        if has_p:
-            if "P" not in symbols:
-                raise CatalogError(f"line {line_no}: P must be declared before {name!r}")
-            period = symbols["P"]
-        else:
-            period = symbols[tower]
+        for sym in [sym for sym, _ in factors] + (["P"] if has_p else []):
+            if sym not in symbols:
+                raise CatalogError(f"line {line_no}: {name!r} uses {sym!r}, "
+                                   "which no row above it declares")
+        period = symbols["P"] if has_p else symbols[tower]
         pure = all(sym in ("h_0", "h_1") for sym, _ in factors)
         k_min = 1 if (has_p and pure) else 0
         families[name] = GeneratorFamily(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .adams import (
@@ -35,30 +34,8 @@ REPORT_KINDS = ("divisibility", "fixed-points", "two-divisibility", "mahowald", 
 CHART_KINDS = ("e2", "einf", "ko", "none")
 
 
-@dataclass
-class RunConfig:
-    max_stem: int = 24
-    coweight_min: int = -2
-    coweight_max: int = 1
-    catalog_path: Optional[str] = None
-    report: Optional[str] = None
-    chart: str = "none"
-    fmt: str = "svg"
-    out: Optional[str] = None
-    rules_override: Optional[str] = None
-    strict: bool = False
-
-    def validate(self) -> None:
-        if self.report and self.max_stem < 8:
-            raise ValueError(
-                "reports need --max-stem >= 8: the first torsion-witness tower "
-                "differential lives on the eighth stem"
-            )
-        if self.chart != "none" and self.fmt not in ("svg", "tikz"):
-            raise ValueError(f"unsupported chart format {self.fmt!r}")
-
-
-def _parse_args(argv: Sequence[str]) -> RunConfig:
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed options; ``coweights`` becomes a (min, max) pair."""
     parser = argparse.ArgumentParser(
         prog="blregion",
         description=(
@@ -83,21 +60,10 @@ def _parse_args(argv: Sequence[str]) -> RunConfig:
     ns = parser.parse_args(argv)
     lo, _, hi = ns.coweights.partition("..")
     try:
-        cw_min, cw_max = int(lo), int(hi)
+        ns.coweights = int(lo), int(hi)
     except ValueError:
         parser.error(f"bad --coweights {ns.coweights!r}")
-    return RunConfig(
-        max_stem=ns.max_stem,
-        coweight_min=cw_min,
-        coweight_max=cw_max,
-        catalog_path=ns.catalog,
-        report=ns.report,
-        chart=ns.chart,
-        fmt=ns.fmt,
-        out=ns.out,
-        rules_override=ns.rules_override,
-        strict=ns.strict,
-    )
+    return ns
 
 
 def _table(header: List[str], rows: List[List[str]]) -> str:
@@ -154,13 +120,14 @@ def report_tables(page: AdamsPage, kind: str, k_max: int = 20) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        cfg = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        cfg.validate()
-        window = Window(
-            max_stem=cfg.max_stem,
-            min_coweight=cfg.coweight_min,
-            max_coweight=cfg.coweight_max,
-        )
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        if args.report and args.max_stem < 8:
+            raise ValueError(
+                "reports need --max-stem >= 8: the first torsion-witness tower "
+                "differential lives on the eighth stem"
+            )
+        lo, hi = args.coweights
+        window = Window(max_stem=args.max_stem, min_coweight=lo, max_coweight=hi)
     except SystemExit as exc:  # argparse reports usage problems itself
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except ValueError as exc:
@@ -168,15 +135,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
 
     try:
-        cat = load_catalog(cfg.catalog_path)
+        cat = load_catalog(args.catalog)
     except (CatalogError, OSError) as exc:
         print(f"catalog error: {exc}", file=sys.stderr)
         return IO_ERROR if isinstance(exc, OSError) else CONSTRAINT_ERROR
 
     extra_rules = ()
-    if cfg.rules_override:
+    if args.rules_override:
         try:
-            extra_rules = load_rule_overrides(cat, cfg.rules_override)
+            extra_rules = load_rule_overrides(cat, args.rules_override)
         except OSError as exc:
             print(f"rule override error: {exc}", file=sys.stderr)
             return IO_ERROR
@@ -202,27 +169,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failed = True
         for w in rep.warnings:
             print(f"{label} warning: {w}", file=sys.stderr)
-            if cfg.strict:
+            if args.strict:
                 failed = True
     if failed:
         return CONSTRAINT_ERROR
 
     out_stream = sys.stdout
-    if cfg.report:
+    if args.report:
         try:
-            out_stream.write(report_tables(page, cfg.report))
+            out_stream.write(report_tables(page, args.report))
         except AmbiguityError as exc:
             print(f"derivation error: {exc}", file=sys.stderr)
             return CONSTRAINT_ERROR
 
-    if cfg.chart != "none":
-        doc = ko_chart() if cfg.chart == "ko" else chart_from_page(
-            page if cfg.chart == "einf" else run, cfg.chart
+    if args.chart != "none":
+        doc = ko_chart() if args.chart == "ko" else chart_from_page(
+            page if args.chart == "einf" else run, args.chart
         )
-        data = render(doc, cfg.fmt)
-        if cfg.out:
+        data = render(doc, args.fmt)
+        if args.out:
             try:
-                with open(cfg.out, "wb") as fh:
+                with open(args.out, "wb") as fh:
                     fh.write(data)
             except OSError as exc:
                 print(f"cannot write chart: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .catalog import Catalog, Q_SHIFT
-from .degrees import TriDegree, Window
+from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from .monomials import (
     Cone,
     MonomialClass,
@@ -166,9 +166,9 @@ class E1Index:
     ``stored`` maps each nonempty stored degree of ``window`` to an object
     whose ``basis`` is that degree's sorted E1 basis (the run's degree
     states, built from ``build_e1``). Degrees the window stores are
-    answered from it, filtered by cone; every other degree is enumerated
-    once and memoized here. Without a window every degree takes the
-    memoized path.
+    answered from it, filtered by cone, and every other degree is
+    enumerated; either way the answer is memoized here. Without a window
+    every degree is enumerated.
     """
 
     def __init__(self, cat: Catalog, window: Optional[Window] = None,
@@ -180,14 +180,33 @@ class E1Index:
 
     def at(self, deg: TriDegree, cone: Cone) -> Tuple[MonomialClass, ...]:
         """Sorted basis of one cone of E1 in degree ``deg``."""
-        if self.window is not None and self.window.stores(deg):
-            st = self.stored.get(deg)
-            return tuple(m for m in st.basis if m.cone is cone) if st else ()
         key = (deg, cone)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = tuple(enumerate_e1_at(self.cat, deg, cone))
+            if self.window is not None and self.window.stores(deg):
+                st = self.stored.get(deg)
+                hit = tuple(m for m in st.basis if m.cone is cone) if st else ()
+            else:
+                hit = tuple(enumerate_e1_at(self.cat, deg, cone))
+            self._memo[key] = hit
         return hit
+
+    def targets(self, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
+        """The classes d_r(m) can hit: its target degree, its filtration plus r.
+
+        A positive class hits the positive cone; a divided class hits the
+        gamma and Q parts, and nothing once the filtration turns positive.
+        Only the bases are memoized (by ``at``): a stem-40 run asks 51,550
+        times for 50,857 distinct (m, r), so a memo of the answers would
+        hold about 7 MB for almost no hits.
+        """
+        target = degree_of(self.cat, m) + DIFFERENTIAL_SHIFT
+        filt = m.filtration() + r
+        if m.cone is Cone.POSITIVE:
+            pool = self.at(target, Cone.POSITIVE)
+        else:
+            pool = () if filt > 0 else self.at(target, Cone.GAMMA) + self.at(target, Cone.Q)
+        return tuple(c for c in pool if c.filtration() == filt)
 
 
 # --- the windowed E1 page -----------------------------------------------------

@@ -7,15 +7,12 @@ from blregion.bockstein import (
     ZERO,
     BocksteinRun,
     DegreeState,
-    GammaPureOracle,
-    PositiveOracle,
     census_report,
     check_structural_constraints,
     expected_census_dimension,
     infer_forced_differentials,
     resolve_page,
     run_bockstein,
-    schedule_pages,
     turn_page,
 )
 from blregion.cones import build_e1
@@ -23,10 +20,11 @@ from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from blregion.monomials import Cone, degree_of, display, make_positive, make_q
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
 
-def fresh_run(cat, window):
-    """A run on its E1 page, before any page is resolved or turned."""
+def fresh_run(cat, window, rules):
+    """A run of ``rules`` on its E1 page, before any page is resolved or turned."""
     e1 = build_e1(cat, window)
-    return BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()})
+    return BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()},
+                        rules)
 
 
 # The eight coweight-1 differential families, frozen: (page, source expr,
@@ -197,12 +195,9 @@ def test_page_turn_dimensions_against_dense_oracle(cat):
         return rank
 
     window = Window(max_stem=10)
-    rules = seed_rules(cat)
-    run = fresh_run(cat, window)
-    oracle = PositiveOracle(cat, rules)
-    gpure = GammaPureOracle(cat, oracle)
-    for r in schedule_pages(cat, window, rules):
-        diffs = resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
+    run = fresh_run(cat, window, seed_rules(cat))
+    for r in run.schedule:
+        diffs = resolve_page(run, r)
         # expected next-page dimensions, degree by degree, by dense ranks
         expected = {}
         for d, st in run.states.items():
@@ -311,12 +306,9 @@ def _sum_rows(rows, mask):
 
 def _pages(cat, window):
     """Yield (run, r, diffs) for each page of a hand-driven run, before its turn."""
-    rules = seed_rules(cat)
-    run = fresh_run(cat, window)
-    oracle = PositiveOracle(cat, rules, run.index)
-    gpure = GammaPureOracle(cat, oracle)
-    for r in schedule_pages(cat, window, rules):
-        yield run, r, resolve_page(run, r, rules, oracle, gpure, scheduled=r > 3)
+    run = fresh_run(cat, window, seed_rules(cat))
+    for r in run.schedule:
+        yield run, r, resolve_page(run, r)
 
 
 @pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
@@ -391,10 +383,8 @@ def test_rule_override_changes_outcome(cat):
 
 def test_leibniz_closure_entry_point(cat):
     # the one-page closure resolves the first tau-power differentials
-    run = fresh_run(cat, Window(max_stem=6))
-    rules = seed_rules(cat)
-    oracle = PositiveOracle(cat, rules, run.index)
-    diffs = resolve_page(run, 1, rules, oracle, GammaPureOracle(cat, oracle), scheduled=False)
+    run = fresh_run(cat, Window(max_stem=6), seed_rules(cat))
+    diffs = resolve_page(run, 1)
     tau = make_positive(cat, tau=1)
     assert diffs[tau].terms == {make_positive(cat, rho=1, h0=1)}
     assert diffs[make_positive(cat, tau=1, h0=2)].terms == {

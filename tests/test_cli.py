@@ -110,6 +110,37 @@ def test_broken_catalog_is_constraint_error(tmp_path):
     assert "h_0 h_3" in r.stderr  # names the violated row
 
 
+def _shipped_catalog():
+    from importlib import resources
+
+    return resources.files("blregion").joinpath("data/catalog.txt").read_text("utf-8")
+
+
+def _tower_row_first(text):
+    lines = text.splitlines(keepends=True)
+    row = next(line for line in lines if line.startswith("h_1^{4+k}"))
+    return row + "".join(line for line in lines if line is not row)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda t: t.replace("h_1^{4+k}   | 4 4 4", "h_5^{4+k}   | 4 4 4"), "'h_5'"),
+    (_tower_row_first, "line 1: 'h_1^{4+k}' uses 'h_1'"),
+    (lambda t: t.replace("P^k h_2     | 3 1 2", "P^k h_5     | 3 1 2"), "'h_5'"),
+    (lambda t: "".join(l for l in t.splitlines(keepends=True) if not l.startswith("P^k c_0")),
+     "'P^k c_0'"),
+], ids=["undeclared-tower-symbol", "family-above-its-symbol", "undeclared-factor",
+        "missing-family"])
+def test_malformed_catalog_is_constraint_error(tmp_path, edit, named):
+    bad = tmp_path / "cat.txt"
+    text = _shipped_catalog()
+    assert edit(text) != text
+    bad.write_text(edit(text))
+    r = run_cli("--catalog", str(bad), "--max-stem", "8")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("catalog error: ") and named in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_rules_override_flag(tmp_path):
     rules = tmp_path / "rules.txt"
     rules.write_text("# extra declared-zero differential, harmless\n"

@@ -193,3 +193,33 @@ def test_build_e1_matches_enumerators_on_deep_coweights(cat):
     assert list(e1) == list(want)
     assert e1 == want
     assert any(d.coweight < -3 for d in e1)
+
+
+def _filtered_targets(cat, m, r):
+    """The classes d_r(m) can hit, listed straight from the enumerators."""
+    target = degree_of(cat, m) + DIFFERENTIAL_SHIFT
+    if target.f < 0:
+        return []
+    filt = m.filtration() + r
+    if m.cone is Cone.POSITIVE:
+        pool = enumerate_e1_at(cat, target, Cone.POSITIVE)
+    else:
+        if filt > 0:
+            return []
+        pool = enumerate_e1_at(cat, target, Cone.GAMMA) + enumerate_e1_at(cat, target, Cone.Q)
+    return [c for c in pool if c.filtration() == filt]
+
+
+def test_targets_match_filtered_enumeration(cat, run10):
+    # the run's index reads stored target degrees from the run's states and
+    # has memoized their bases during the run; a windowless index enumerates
+    windowless = E1Index(cat)
+    nonempty = 0
+    for st in run10.states.values():
+        for m in st.basis:
+            for r in range(1, 5):
+                want = _filtered_targets(cat, m, r)
+                assert list(run10.index.targets(m, r)) == want, (display(m), r)
+                assert list(windowless.targets(m, r)) == want, (display(m), r)
+                nonempty += bool(want)
+    assert nonempty > 100
