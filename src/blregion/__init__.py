@@ -18,13 +18,11 @@ from .adams import (
 from .bockstein import (
     census_report,
     check_structural_constraints,
-    infer_forced_differentials,
     run_bockstein,
-    turn_page,
 )
-from .catalog import Catalog, GeneratorFamily, load_catalog, family_degree
+from .catalog import Catalog, GeneratorFamily, load_catalog
 from .charts import chart_from_page, ko_chart, render
-from .degrees import TriDegree, Window, coweight
+from .degrees import TriDegree, Window
 from .monomials import Cone, MonomialClass, display, module_action
 from .rules import seed_rules
 
@@ -39,11 +37,8 @@ __all__ = [
     "census_report",
     "chart_from_page",
     "check_structural_constraints",
-    "coweight",
     "display",
-    "family_degree",
     "fixed_point_image",
-    "infer_forced_differentials",
     "install_hidden_rho_extensions",
     "ko_chart",
     "load_catalog",
@@ -53,7 +48,6 @@ __all__ = [
     "rho_divisibility",
     "run_bockstein",
     "seed_rules",
-    "turn_page",
     "two_divisibility",
     "underlying_map",
 ]

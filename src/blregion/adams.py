@@ -38,21 +38,6 @@ class AmbiguityError(ValueError):
     """A lookup demanded a unique answer and found several (or none)."""
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
-    """A coweight-0 stable class named by its final-page detector.
-
-    ``rho_action`` points at the detector of rho times this class when that
-    product is nonzero; ``hidden`` marks the links invisible on the page
-    (they jump Adams filtration).
-    """
-
-    detector: MonomialClass
-    stem: int
-    rho_action: Optional[MonomialClass] = None
-    hidden: bool = False
-
-
 @dataclass
 class AdamsPage:
     """Bockstein output regarded as the Adams final page, plus extensions."""
@@ -63,16 +48,6 @@ class AdamsPage:
     @property
     def cat(self) -> Catalog:
         return self.run.cat
-
-    def homotopy_class(self, detector: MonomialClass) -> HomotopyClass:
-        cat = self.cat
-        d = degree_of(cat, detector)
-        if detector in self.hidden_rho:
-            return HomotopyClass(detector, d.s, self.hidden_rho[detector], hidden=True)
-        rho_img = module_action(cat, "rho", detector)
-        if rho_img is not None and not self.run.monomial_alive(rho_img):
-            rho_img = None
-        return HomotopyClass(detector, d.s, rho_img, hidden=False)
 
 
 def region_classes(run: BocksteinRun) -> List[MonomialClass]:

@@ -120,10 +120,9 @@ class PositiveOracle:
     follow by the Leibniz rule over the factorization rho^a tau^b z.
     """
 
-    def __init__(self, cat: Catalog, rules: Sequence[DifferentialRule],
-                 index: Optional[E1Index] = None):
+    def __init__(self, cat: Catalog, rules: Sequence[DifferentialRule], index: E1Index):
         self.cat = cat
-        self.index = index if index is not None else E1Index(cat)
+        self.index = index
         self._fam_rules = self._index_family_rules(rules)
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
         self._alive_memo: Dict[Tuple[MonomialClass, int], bool] = {}
@@ -230,33 +229,22 @@ class PositiveOracle:
         return ok
 
     def _alive_raw(self, m: MonomialClass, r: int) -> bool:
+        """False once some d_q(m), q < r, is unknown or nonzero, or a certified
+        page-q class one degree back has m in its known d_q."""
         src_deg = degree_of(self.cat, m) + TriDegree(1, -1, 0)
         for q in range(1, r):
             val = self.d(m, q)
-            if val is _UNKNOWN or val or self._hit_on(m, src_deg, q):
+            if val is _UNKNOWN or val:
                 return False
-        return True
-
-    def certified_dead_by(self, m: MonomialClass, r: int) -> bool:
-        """Positive certificate that m dies strictly before page r (pages <= 3)."""
-        src_deg = degree_of(self.cat, m) + TriDegree(1, -1, 0)
-        for q in range(1, min(r, 4)):
-            val = self.d(m, q)
-            if (val is not _UNKNOWN and val) or self._hit_on(m, src_deg, q):
-                return True  # an earlier nonzero differential leaves or hits m
-        return False
-
-    def _hit_on(self, m: MonomialClass, src_deg: TriDegree, q: int) -> bool:
-        """Whether a certified page-q class of ``src_deg`` has m in its known d_q."""
-        if m.rho < q or src_deg.f < 0:
-            return False
-        for s in self.index.at(src_deg, Cone.POSITIVE):
-            if s.rho != m.rho - q or not self.alive(s, q):
+            if m.rho < q or src_deg.f < 0:
                 continue
-            sval = self.d(s, q)
-            if sval is not _UNKNOWN and sval and m in sval:
-                return True
-        return False
+            for s in self.index.at(src_deg, Cone.POSITIVE):
+                if s.rho != m.rho - q or not self.alive(s, q):
+                    continue
+                sval = self.d(s, q)
+                if sval is not _UNKNOWN and sval and m in sval:
+                    return False
+        return True
 
 
 # --- pure gamma oracle ----------------------------------------------------------
@@ -887,7 +875,7 @@ def _page_reduce(run: BocksteinRun, ch: Chain) -> Chain:
     return Chain(terms, ch.external)
 
 
-# --- structural checks, census, inference ---------------------------------------
+# --- structural checks and census -----------------------------------------------
 
 
 @dataclass
@@ -1033,95 +1021,3 @@ def census_report(run: BocksteinRun) -> Report:
             "closure assumption (validated by this census)"
         )
     return rep
-
-
-def infer_forced_differentials(
-    cat: Catalog,
-    rules: Optional[Sequence[DifferentialRule]] = None,
-    k_range: Iterable[int] = range(0, 3),
-    max_page: int = 12,
-):
-    """Locate the differentials forced by declared permanent rho-towers.
-
-    A declared permanent cycle x whose degree violates the rho-inverted
-    survivor criterion s + f - 2w = 0 can neither support a differential nor
-    survive, so some rho^r x must be hit. Candidate sources are filtration-0
-    classes one stem above; a candidate is excluded once its own fate is
-    known, once it is certified dead, or once one of its rho-multiples is
-    certified dead (sources of page-r differentials keep nonzero
-    rho-multiples on the page). Inference iterates: each uniquely forced
-    differential joins the knowledge for the next pass, mirroring how the
-    first formula of a family feeds the second. Anything short of a unique
-    candidate is reported, never guessed.
-    """
-    rules = list(rules if rules is not None else seed_rules(cat))
-    oracle = PositiveOracle(cat, rules)
-    known: Dict[MonomialClass, Tuple[int, MonomialClass]] = {}
-    inferred: List[RuleInstance] = []
-    rho1 = make_positive(cat, rho=1)
-
-    def excluded(s_mono: MonomialClass, r: int, hit: MonomialClass) -> bool:
-        if s_mono in known:
-            kr, ktgt = known[s_mono]
-            return (kr, ktgt) != (r, hit)
-        if r <= 3:
-            val = oracle.d(s_mono, r)
-            if val is not _UNKNOWN and (not val or hit not in val):
-                return True
-        if oracle.certified_dead_by(s_mono, min(r, 4)):
-            return True
-        probe = s_mono
-        for _ in range(4):
-            probe = multiply(cat, rho1, probe)
-            if probe is None or oracle.certified_dead_by(probe, min(r, 4)):
-                return True  # a rho-multiple dies: no differential possible
-        return False
-
-    problems: List[str] = []
-    for _pass in range(4):
-        problems = []
-        progressed = False
-        for fam in sorted(cat.families.values(), key=lambda f: f.name):
-            if not fam.permanent_cycle:
-                continue
-            for k in k_range:
-                if k < fam.k_min:
-                    continue
-                x = make_positive(cat, tau=fam.perm_tau_prefix, family=fam.name, k=k)
-                if x is None:
-                    continue
-                deg = degree_of(cat, x)
-                if deg.s + deg.f - 2 * deg.w == 0:
-                    continue
-                candidates: List[Tuple[MonomialClass, int, MonomialClass]] = []
-                for r in range(1, max_page + 1):
-                    hit = make_positive(
-                        cat, rho=r, tau=fam.perm_tau_prefix, family=fam.name, k=k
-                    )
-                    if hit is None:
-                        continue
-                    src_deg = degree_of(cat, hit) + TriDegree(1, -1, 0)
-                    if src_deg.f < 0:
-                        continue
-                    for s_mono in oracle.index.at(src_deg, Cone.POSITIVE):
-                        if s_mono.rho != 0 or excluded(s_mono, r, hit):
-                            continue
-                        candidates.append((s_mono, r, hit))
-                if len(candidates) == 1:
-                    s_mono, r, hit = candidates[0]
-                    if s_mono not in known:
-                        known[s_mono] = (r, hit)
-                        inferred.append(
-                            RuleInstance(r, s_mono, hit, f"forced by {display(x)}")
-                        )
-                        progressed = True
-                elif not candidates:
-                    problems.append(
-                        f"no candidate differential can hit the rho-tower of {display(x)}"
-                    )
-                else:
-                    names = ", ".join(f"d_{r}({display(s)})" for s, r, _ in candidates)
-                    problems.append(f"ambiguous candidates for {display(x)}: {names}")
-        if not progressed:
-            break
-    return inferred, problems

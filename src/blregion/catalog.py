@@ -59,10 +59,6 @@ class GeneratorFamily:
         return self.base + self.period.scale(k)
 
 
-def family_degree(fam: GeneratorFamily, k: int) -> TriDegree:
-    return fam.degree(k)
-
-
 @dataclass(frozen=True)
 class Catalog:
     symbols: Dict[str, TriDegree]
@@ -129,9 +125,10 @@ def _parse_height(text: str, what: str, line_no: int) -> int:
 
 
 # Degree formulas of the seeded differential families, used as load-time
-# consistency checks. Each entry: (element expression, affine degree in k,
-# builder) where the builder recomputes the element's degree from catalog
-# data. Checked for k = 0..3 (shifted where a family starts at k = 1).
+# consistency checks. Each entry: (element expression, first k, affine degree
+# in k, builder) where the builder recomputes the element's degree from
+# catalog data. Checked for four k from the first (0, or 1 where the formula
+# starts at k = 1).
 def _consistency_rows(cat: Catalog):
     g = cat.gamma_degree
 
@@ -143,61 +140,51 @@ def _consistency_rows(cat: Catalog):
     tau_deg, rho_deg = cat.tau, cat.rho
     h0, h1 = cat.symbols["h_0"], cat.symbols["h_1"]
 
-    rows = [
-        ("gamma/(rho tau^{2k+1})",
+    return [
+        ("gamma/(rho tau^{2k+1})", 0,
          lambda k: TriDegree(1, 0, 2 * k + 3),
          lambda k: g(1, 2 * k + 1)),
-        ("gamma/(rho^2 tau^{4k+2})",
+        ("gamma/(rho^2 tau^{4k+2})", 0,
          lambda k: TriDegree(2, 0, 4 * k + 5),
          lambda k: g(2, 4 * k + 2)),
-        ("tau^3 P^k h_0^3 h_3",
+        ("tau^3 P^k h_0^3 h_3", 0,
          lambda k: TriDegree(8 * k + 7, 4 * k + 4, 4 * k + 1),
          lambda k: tau_deg.scale(3) + fam("P^k h_0 h_3", k) + h0.scale(2)),
-        ("tau^3 P^k h_1 c_0",
+        ("tau^3 P^k h_1 c_0", 0,
          lambda k: TriDegree(8 * k + 9, 4 * k + 4, 4 * k + 3),
          lambda k: tau_deg.scale(3) + fam("P^k c_0", k) + h1),
-        ("Q/rho^{4k-1} h_1^{4k}",  # k >= 1
+        ("Q/rho^{4k-1} h_1^{4k}", 1,
          lambda k: TriDegree(8 * k, 4 * k - 1, 8 * k),
          lambda k: Q_SHIFT + fam("h_1^{4+k}", 4 * k - 4)
          + rho_deg.scale(-(4 * k - 1))),
-        ("Q/rho^{4k} h_1^{4k+1}",  # k >= 1
+        ("Q/rho^{4k} h_1^{4k+1}", 1,
          lambda k: TriDegree(8 * k + 2, 4 * k, 8 * k + 2),
          lambda k: Q_SHIFT + fam("h_1^{4+k}", 4 * k - 3) + rho_deg.scale(-4 * k)),
-        ("gamma/(rho^2 tau^{4k-2}) P^k h_1",  # k >= 1
+        ("gamma/(rho^2 tau^{4k-2}) P^k h_1", 1,
          lambda k: TriDegree(8 * k + 3, 4 * k + 1, 8 * k + 2),
          lambda k: g(2, 4 * k - 2) + fam("P^k h_1", k)),
-        ("gamma/(rho tau^{4k-1}) P^k h_2",  # k >= 1
+        ("gamma/(rho tau^{4k-1}) P^k h_2", 1,
          lambda k: TriDegree(8 * k + 4, 4 * k + 1, 8 * k + 3),
          lambda k: g(1, 4 * k - 1) + fam("P^k h_2", k)),
-        ("gamma/(rho tau^{4k-1}) P^k h_0 h_2",  # k >= 1
+        ("gamma/(rho tau^{4k-1}) P^k h_0 h_2", 1,
          lambda k: TriDegree(8 * k + 4, 4 * k + 2, 8 * k + 3),
          lambda k: g(1, 4 * k - 1) + fam("P^k h_2", k) + h0),
-        ("gamma/(rho tau^{4k+1}) P^k h_0 h_3",
+        ("gamma/(rho tau^{4k+1}) P^k h_0 h_3", 0,
          lambda k: TriDegree(8 * k + 8, 4 * k + 2, 8 * k + 7),
          lambda k: g(1, 4 * k + 1) + fam("P^k h_0 h_3", k)),
-        ("gamma/(rho tau^{4k+1}) P^k h_0^2 h_3",
+        ("gamma/(rho tau^{4k+1}) P^k h_0^2 h_3", 0,
          lambda k: TriDegree(8 * k + 8, 4 * k + 3, 8 * k + 7),
          lambda k: g(1, 4 * k + 1) + fam("P^k h_0 h_3", k) + h0),
-        ("gamma/(rho^2 tau^{4k+1}) P^k c_0",
+        ("gamma/(rho^2 tau^{4k+1}) P^k c_0", 0,
          lambda k: TriDegree(8 * k + 10, 4 * k + 3, 8 * k + 9),
          lambda k: g(2, 4 * k + 1) + fam("P^k c_0", k)),
-        ("gamma/(rho^3 tau^{4k+1}) P^k h_0^3 h_3",
+        ("gamma/(rho^3 tau^{4k+1}) P^k h_0^3 h_3", 0,
          lambda k: TriDegree(8 * k + 10, 4 * k + 4, 8 * k + 9),
          lambda k: g(3, 4 * k + 1) + fam("P^k h_0 h_3", k) + h0.scale(2)),
-        ("gamma/(rho^3 tau^{4k+1}) P^k h_1 c_0",
+        ("gamma/(rho^3 tau^{4k+1}) P^k h_1 c_0", 0,
          lambda k: TriDegree(8 * k + 12, 4 * k + 4, 8 * k + 11),
          lambda k: g(3, 4 * k + 1) + fam("P^k c_0", k) + h1),
     ]
-    return rows
-
-
-_K1_ONLY = {
-    "Q/rho^{4k-1} h_1^{4k}",
-    "Q/rho^{4k} h_1^{4k+1}",
-    "gamma/(rho^2 tau^{4k-2}) P^k h_1",
-    "gamma/(rho tau^{4k-1}) P^k h_2",
-    "gamma/(rho tau^{4k-1}) P^k h_0 h_2",
-}
 
 
 def validate(cat: Catalog) -> None:
@@ -210,7 +197,9 @@ def validate(cat: Catalog) -> None:
     for fam in cat.families.values():
         has_p, factors, tower = parse_family_name(fam.name)
         expected = TriDegree(0, 0, 0)
-        for sym, exp in factors:
+        for sym, exp in factors:  # the tower symbol is one of the factors
+            if sym not in cat.symbols:
+                raise CatalogError(f"family {fam.name!r} uses undeclared symbol {sym!r}")
             expected = expected + cat.symbols[sym].scale(exp)
         if expected != fam.base:
             raise CatalogError(
@@ -235,8 +224,7 @@ def validate(cat: Catalog) -> None:
             f"tau-torsion flags must single out the h_1 power tower, got {torsion}"
         )
 
-    for expr, formula, builder in _consistency_rows(cat):
-        k_lo = 1 if expr in _K1_ONLY else 0
+    for expr, k_lo, formula, builder in _consistency_rows(cat):
         for k in range(k_lo, k_lo + 4):
             want, got = formula(k), builder(k)
             if want != got:

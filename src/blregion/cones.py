@@ -167,15 +167,13 @@ class E1Index:
     whose ``basis`` is that degree's sorted E1 basis (the run's degree
     states, built from ``build_e1``). Degrees the window stores are
     answered from it, filtered by cone, and every other degree is
-    enumerated; either way the answer is memoized here. Without a window
-    every degree is enumerated.
+    enumerated; either way the answer is memoized here.
     """
 
-    def __init__(self, cat: Catalog, window: Optional[Window] = None,
-                 stored: Optional[Mapping[TriDegree, object]] = None):
+    def __init__(self, cat: Catalog, window: Window, stored: Mapping[TriDegree, object]):
         self.cat = cat
         self.window = window
-        self.stored = stored if stored is not None else {}
+        self.stored = stored
         self._memo: Dict[Tuple[TriDegree, Cone], Tuple[MonomialClass, ...]] = {}
 
     def at(self, deg: TriDegree, cone: Cone) -> Tuple[MonomialClass, ...]:
@@ -183,7 +181,7 @@ class E1Index:
         key = (deg, cone)
         hit = self._memo.get(key)
         if hit is None:
-            if self.window is not None and self.window.stores(deg):
+            if self.window.stores(deg):
                 st = self.stored.get(deg)
                 hit = tuple(m for m in st.basis if m.cone is cone) if st else ()
             else:

@@ -24,22 +24,14 @@ class TriDegree:
     def coweight(self) -> int:
         return self.s - self.w
 
-    def add(self, other: "TriDegree") -> "TriDegree":
-        return TriDegree(self.s + other.s, self.f + other.f, self.w + other.w)
-
     def __add__(self, other: "TriDegree") -> "TriDegree":
-        return self.add(other)
+        return TriDegree(self.s + other.s, self.f + other.f, self.w + other.w)
 
     def scale(self, n: int) -> "TriDegree":
         return TriDegree(n * self.s, n * self.f, n * self.w)
 
     def __str__(self) -> str:
         return f"({self.s},{self.f},{self.w})"
-
-
-def coweight(d: TriDegree) -> int:
-    """Stem minus weight; constant along rho-towers, +1 per tau."""
-    return d.coweight
 
 
 #: Degree shift of every Bockstein and Adams differential: stem drops by

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .catalog import Catalog, CatalogError, Q_SHIFT
 from .degrees import TriDegree
@@ -80,11 +80,6 @@ def degree_of(cat: Catalog, m: MonomialClass) -> TriDegree:
     if m.cone is Cone.GAMMA:
         return TriDegree(s + j, f, w + m.tau + j + 1)
     return TriDegree(s + Q_SHIFT.s + j, f + Q_SHIFT.f, w + Q_SHIFT.w + j)
-
-
-def _family_heights(cat: Catalog, name: str) -> Tuple[int, int]:
-    fam = cat.families[name]
-    return fam.h0_height, fam.h1_height
 
 
 def make_positive(

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .catalog import Catalog
 from .degrees import DIFFERENTIAL_SHIFT, Window
 from .monomials import (
-    Cone,
     MonomialClass,
     degree_of,
     display,

@@ -55,14 +55,6 @@ def test_hidden_extensions_start_at_four(cat, page24):
     assert make_positive(cat, h1=3) not in page24.hidden_rho.values()
 
 
-def test_homotopy_class_links(cat, page24):
-    hc = page24.homotopy_class(make_q(cat, 0, "h_1^{4+k}", 0))
-    assert hc.hidden and hc.rho_action == make_positive(cat, h1=4)
-    assert hc.stem == 5
-    hc = page24.homotopy_class(make_q(cat, 2, "h_1^{4+k}", 0))
-    assert not hc.hidden and display(hc.rho_action) == "Q/rho h_1^4"
-
-
 def test_rho_divisibility_closed_form():
     expected = {1: 0, 2: 0, 3: 0, 4: 3, 5: 4, 6: 4, 7: 4, 8: 7,
                 9: 8, 10: 8, 11: 8, 12: 11, 13: 12, 16: 15, 20: 19}

@@ -10,7 +10,6 @@ from blregion.bockstein import (
     census_report,
     check_structural_constraints,
     expected_census_dimension,
-    infer_forced_differentials,
     resolve_page,
     run_bockstein,
     turn_page,
@@ -338,32 +337,6 @@ def test_cached_reps_match_fresh_subquotient(cat):
             )
         pages += 1
     assert pages >= 4
-
-
-def test_forced_differential_inference_without_seeds(cat):
-    # drop the two page-3 family rules and re-derive them in two passes
-    rules = [r for r in seed_rules(cat) if "tau^3" not in r.label]
-    first, _problems = infer_forced_differentials(cat, rules, k_range=range(0, 2))
-    by_target = {display(i.target): i for i in first}
-    assert "rho^3 tau P h_1" in by_target
-    inst = by_target["rho^3 tau P h_1"]
-    assert inst.page == 3 and display(inst.source) == "tau^3 h_0^3 h_3"
-    # second pass: with the first formula known, the h_2 tower forces the other
-    extra = parse_rule_line(cat, "3 | tau^3 P^{k} h_0^3 h_3 | rho^3 tau P^{k+1} h_1 | 0")
-    second, problems2 = infer_forced_differentials(cat, list(rules) + [extra],
-                                                   k_range=range(0, 2))
-    by_target2 = {display(i.target): i for i in second}
-    assert "rho^3 P h_2" in by_target2
-    assert display(by_target2["rho^3 P h_2"].source) == "tau^3 h_1 c_0"
-
-
-def test_inference_skips_survivor_criterion(cat):
-    # h_1 satisfies s + f - 2w = 0, so nothing is inferred from it
-    inferred, problems = infer_forced_differentials(cat, k_range=range(0, 1))
-    assert all("h_1 " not in p or "P" in p for p in problems)
-    for inst in inferred:
-        deg = degree_of(cat, inst.target)
-        assert deg.s + deg.f - 2 * deg.w != 0
 
 
 def test_rule_override_changes_outcome(cat):

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from blregion.catalog import CatalogError, family_degree, load_catalog
+from blregion.catalog import Catalog, CatalogError, load_catalog, validate
 from blregion.degrees import TriDegree
 
 
@@ -15,7 +17,7 @@ def test_shipped_catalog_loads(cat):
 def test_family_degree_periodicity(cat):
     for fam in cat.families.values():
         for k in range(fam.k_min, fam.k_min + 4):
-            step = family_degree(fam, k + 1).add(family_degree(fam, k).scale(-1))
+            step = fam.degree(k + 1) + fam.degree(k).scale(-1)
             assert step == fam.period
     p_fams = [f for f in cat.families.values() if f.name.startswith("P^k")]
     assert all(f.period == TriDegree(8, 4, 4) for f in p_fams)
@@ -24,10 +26,10 @@ def test_family_degree_periodicity(cat):
 def test_family_degree_examples(cat):
     # tau^3 P^k h_0^3 h_3 at k=0 sits in (7,4,1)
     f = cat.families["P^k h_0 h_3"]
-    d = cat.tau.scale(3) + family_degree(f, 0) + cat.symbols["h_0"].scale(2)
+    d = cat.tau.scale(3) + f.degree(0) + cat.symbols["h_0"].scale(2)
     assert d == TriDegree(7, 4, 1)
-    assert family_degree(cat.families["P^k h_1"], 1) == TriDegree(9, 5, 5)
-    assert family_degree(cat.families["P^k h_2"], 1) == TriDegree(11, 5, 6)
+    assert cat.families["P^k h_1"].degree(1) == TriDegree(9, 5, 5)
+    assert cat.families["P^k h_2"].degree(1) == TriDegree(11, 5, 6)
 
 
 def test_torsion_flag_is_the_h1_tower(cat):
@@ -86,4 +88,13 @@ def test_parse_error_reports_line(tmp_path):
 
 def test_negative_parameter_rejected(cat):
     with pytest.raises(CatalogError):
-        family_degree(cat.families["P^k h_1"], -1)
+        cat.families["P^k h_1"].degree(-1)
+
+
+def test_undeclared_symbol_in_code_built_catalog_rejected(cat):
+    # load_catalog refuses an undeclared symbol line by line; a Catalog built
+    # in code reaches validate, which must name the family and the symbol
+    fam = replace(cat.families["P^k h_2"], name="P^k h_9")
+    built = Catalog(symbols=dict(cat.symbols), families={**cat.families, fam.name: fam})
+    with pytest.raises(CatalogError, match=r"P\^k h_9.*'h_9'"):
+        validate(built)

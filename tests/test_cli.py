@@ -164,6 +164,17 @@ def test_bad_rules_override_is_usage_error(tmp_path, line):
     assert "Traceback" not in r.stderr
 
 
+def test_d_squared_nonzero_is_engine_error(tmp_path):
+    # gamma/(rho^2 tau^2) h_0 h_3 -> gamma/(rho tau^3) h_0^2 h_3, whose own
+    # d_1 is gamma/tau^4 h_0^3 h_3: d_1 o d_1 != 0 must stop the run
+    rules = tmp_path / "rules.txt"
+    rules.write_text("1 | gamma/(rho^2 tau^2) h_0 h_3 | gamma/(rho tau^3) h_0^2 h_3 | 0..0\n")
+    r = run_cli("--max-stem", "8", "--rules-override", str(rules))
+    assert r.returncode == 3, r.stderr
+    assert "d_1 o d_1 != 0" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_coweights_flag():
     r = run_cli("--report", "census", "--max-stem", "10", "--coweights=-1..1")
     assert r.returncode == 0

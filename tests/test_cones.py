@@ -1,7 +1,6 @@
 import itertools
 
 from blregion.cones import (
-    E1Index,
     _degree_box,
     build_e1,
     enumerate_e1_at,
@@ -172,12 +171,9 @@ def test_index_matches_enumerators(cat, run10):
         Cone.GAMMA: enumerate_gamma_at,
         Cone.Q: enumerate_q_at,
     }
-    windowless = E1Index(cat)
     for deg in box + past:
         for cone, enumerate_at in enumerators.items():
-            want = enumerate_at(cat, deg)
-            assert list(run10.index.at(deg, cone)) == want, (deg, cone)
-            assert list(windowless.at(deg, cone)) == want, (deg, cone)
+            assert list(run10.index.at(deg, cone)) == enumerate_at(cat, deg), (deg, cone)
 
 
 def test_build_e1_matches_enumerators_on_deep_coweights(cat):
@@ -212,14 +208,12 @@ def _filtered_targets(cat, m, r):
 
 def test_targets_match_filtered_enumeration(cat, run10):
     # the run's index reads stored target degrees from the run's states and
-    # has memoized their bases during the run; a windowless index enumerates
-    windowless = E1Index(cat)
+    # has memoized their bases during the run; it enumerates the others
     nonempty = 0
     for st in run10.states.values():
         for m in st.basis:
             for r in range(1, 5):
                 want = _filtered_targets(cat, m, r)
                 assert list(run10.index.targets(m, r)) == want, (display(m), r)
-                assert list(windowless.targets(m, r)) == want, (display(m), r)
                 nonempty += bool(want)
     assert nonempty > 100

@@ -1,13 +1,13 @@
 import random
 
 from blregion.cones import enumerate_e1_at
-from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window, coweight
+from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 
 
 def test_coweight_examples():
-    assert coweight(TriDegree(0, 0, 0)) == 0
-    assert coweight(TriDegree(5, 3, 5)) == 0
-    assert coweight(TriDegree(2, 0, 5)) == -3
+    assert TriDegree(0, 0, 0).coweight == 0
+    assert TriDegree(5, 3, 5).coweight == 0
+    assert TriDegree(2, 0, 5).coweight == -3
 
 
 def test_degree_arithmetic_componentwise():
@@ -24,7 +24,7 @@ def test_coweight_additive_and_commutative():
         c = TriDegree(rng.randint(-9, 9), rng.randint(0, 9), rng.randint(-9, 9))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-        assert coweight(a + b) == coweight(a) + coweight(b)
+        assert (a + b).coweight == a.coweight + b.coweight
 
 
 def test_negative_filtration_rejected_for_classes(cat):
@@ -38,7 +38,7 @@ def test_negative_filtration_rejected_for_classes(cat):
 
 def test_differential_shift():
     assert DIFFERENTIAL_SHIFT == TriDegree(-1, 1, 0)
-    assert coweight(TriDegree(4, 4, 4) + DIFFERENTIAL_SHIFT) == -1
+    assert (TriDegree(4, 4, 4) + DIFFERENTIAL_SHIFT).coweight == -1
 
 
 def test_window_stores_and_asserts():
