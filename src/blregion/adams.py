@@ -66,7 +66,11 @@ def region_classes(run: BocksteinRun) -> List[MonomialClass]:
     return out
 
 
-def adams_no_differentials(page_or_run, max_r: int = 12) -> Report:
+#: the last Adams page whose differentials ``adams_no_differentials`` excludes
+MAX_ADAMS_PAGE = 12
+
+
+def adams_no_differentials(run: BocksteinRun) -> Report:
     """Class-by-class exclusion of Adams differentials on the region.
 
     Targets of a differential on a region class drop into coweight -1, where
@@ -74,13 +78,12 @@ def adams_no_differentials(page_or_run, max_r: int = 12) -> Report:
     1 and would have to be h1-periodic against the finite h1 towers there,
     or to hit the h0 tower from the empty stem-1 column.
     """
-    run = page_or_run.run if isinstance(page_or_run, AdamsPage) else page_or_run
     cat, window = run.cat, run.window
     rep = Report()
     for alpha in region_classes(run):
         d = degree_of(cat, alpha)
         # (a) targets (s-1, f+r, w) must be dead or out of the stored page
-        for r in range(2, max_r + 1):
+        for r in range(2, MAX_ADAMS_PAGE + 1):
             t = TriDegree(d.s - 1, d.f + r, d.w)
             if t.f > window.max_f:
                 break
@@ -94,7 +97,7 @@ def adams_no_differentials(page_or_run, max_r: int = 12) -> Report:
                     f"target {display(survivors[0])} at {t}"
                 )
         # (b) sources (s+1, f-r, w) in coweight 1
-        for r in range(2, max_r + 1):
+        for r in range(2, MAX_ADAMS_PAGE + 1):
             if d.f - r < 0:
                 break
             s_deg = TriDegree(d.s + 1, d.f - r, d.w)
@@ -214,28 +217,26 @@ class DivisibilityRecord:
     fixed_point_generator_exponent: int
 
 
-def rho_divisibility(k: int, page: Optional[AdamsPage] = None) -> int:
+def rho_divisibility(k: int, page: AdamsPage) -> int:
     """Engine mode when the window certifies the answer, closed form beyond.
 
     In engine mode the two must agree; disagreement raises, it is never
     papered over.
     """
     formula = rho_divisibility_formula(k)
-    if page is not None:
-        try:
-            engine = rho_divisibility_engine(page, k)
-        except OutOfWindowError:
-            return formula
-        if engine != formula:
-            raise AmbiguityError(
-                f"engine rho-divisibility {engine} for k={k} disagrees with "
-                f"the closed form {formula}"
-            )
-        return engine
-    return formula
+    try:
+        engine = rho_divisibility_engine(page, k)
+    except OutOfWindowError:
+        return formula
+    if engine != formula:
+        raise AmbiguityError(
+            f"engine rho-divisibility {engine} for k={k} disagrees with "
+            f"the closed form {formula}"
+        )
+    return engine
 
 
-def fixed_point_image(k: int, page: Optional[AdamsPage] = None) -> int:
+def fixed_point_image(k: int, page: AdamsPage) -> int:
     """Exponent m with image of geometric fixed points = 2^m Z on stem k.
 
     The fixed-points map sends the rho class to 1 and the Hopf class to -2
@@ -251,7 +252,7 @@ def fixed_point_image(k: int, page: Optional[AdamsPage] = None) -> int:
     raise AmbiguityError(f"no generator exponent found for k={k}")
 
 
-def two_divisibility(k: int, page: Optional[AdamsPage] = None) -> int:
+def two_divisibility(k: int, page: AdamsPage) -> int:
     """Maximal power of 2 dividing the k-th Hopf-power class, k >= 5.
 
     On h0-torsion classes multiplication by 2 agrees with rho times the Hopf

@@ -1,9 +1,10 @@
 """The rho-Bockstein engine: rule seeding, Leibniz closure, page turning.
 
 A ``BocksteinRun`` owns everything its page loop consults, built once from
-its catalog, window, E1 states and rules: the ``E1Index``, the rule
-instances by page (``index_rules``), the page schedule (pages 1..3 and every
-page a rule lands on) and the two oracles. ``resolve_page(run, r)`` then
+its catalog, window, E1 states and rules: the ``E1Index``, the one index of
+rule instances by page (``index_rules``), which both the page resolver and
+the positive oracle read, the page schedule (pages 1..3 and every page where
+a rule has a stored source) and the two oracles. ``resolve_page(run, r)`` then
 needs only the run and the page. Differentials are stored as values on basis
 monomials; matrices are only materialized when a page is turned, and the
 turn touches only the degrees a nonzero d_r leaves or enters, so its work
@@ -107,41 +108,27 @@ def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chai
 # --- positive-cone oracle -------------------------------------------------------
 
 
-#: how many family parameters k, from a rule's k_min, the oracle indexes
-FAMILY_K_SPAN = 48
+#: rule instances by page, then by source (``index_rules``)
+RuleIndex = Dict[int, Dict[MonomialClass, RuleInstance]]
 
 
 class PositiveOracle:
     """Symbolic page differentials and survival for positive-cone monomials.
 
     Valid on pages 1..3 (the globally-run pages). The knowledge atoms are the
-    tau-power rules, exact rule matches modulo tau^4 and rho factors, the
-    declared permanent cycles, and empty-target vanishing; composite values
-    follow by the Leibniz rule over the factorization rho^a tau^b z.
+    tau-power rules (``tau_power_d``), exact matches in the run's rule index
+    modulo tau^4 and rho factors, the declared permanent cycles, and
+    empty-target vanishing; composite values follow by the Leibniz rule over
+    the factorization rho^a tau^b z. Only family classes are looked up in
+    the rule index, so tau-power sources never reach it.
     """
 
-    def __init__(self, cat: Catalog, rules: Sequence[DifferentialRule], index: E1Index):
+    def __init__(self, cat: Catalog, rule_instances: RuleIndex, index: E1Index):
         self.cat = cat
         self.index = index
-        self._fam_rules = self._index_family_rules(rules)
+        self.rule_instances = rule_instances
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
         self._alive_memo: Dict[Tuple[MonomialClass, int], bool] = {}
-
-    def _index_family_rules(self, rules) -> Dict[MonomialClass, RuleInstance]:
-        """Instances of the positive-cone family rules, keyed by source."""
-        index = {}
-        for rule in rules:
-            probe = rule.instance(self.cat, rule.k_min)
-            if probe is None or probe.source.cone is not Cone.POSITIVE:
-                continue
-            if not probe.source.family:
-                continue  # tau-power rules are built in
-            for k in range(rule.k_min, rule.k_min + FAMILY_K_SPAN):
-                inst = rule.instance(self.cat, k)
-                if inst is None:
-                    break
-                index[inst.source] = inst
-        return index
 
     def tau_power_d(self, b: int, r: int):
         """d_r(tau^b) as a monomial (None = zero) or _UNKNOWN off-schedule."""
@@ -157,16 +144,6 @@ class PositiveOracle:
         if r == 3:
             return None if b % 4 == 0 else _UNKNOWN
         return _UNKNOWN  # pages >= 4 run on the rule schedule only
-
-    def _underlying_d_zero(self, z: MonomialClass, r: int) -> bool:
-        """True when d_r(z) = 0 is forced for a tau-free underlying monomial."""
-        cat = self.cat
-        if not z.family:
-            return True  # coweight-0 classes: targets sit in empty negative coweight
-        fam = cat.families[z.family]
-        if fam.permanent_cycle and fam.perm_tau_prefix == 0:
-            return True
-        return not self.index.targets(z, r)
 
     def d(self, m: MonomialClass, r: int):
         """Resolved d_r(m) as a list of monomials, None for zero, or _UNKNOWN."""
@@ -188,35 +165,28 @@ class PositiveOracle:
         a, b = m.rho, m.tau
         if not self.index.targets(m, r):
             return None  # empty target degree: vanishing is forced
+        # d_r(rho^a tau^b z) = rho^a d_r(tau^(b-p)) tau^p z when d_r(tau^p z) = 0
+        p = 0
         if m.family:
             # exact rule match modulo rho and tau^4 factors (tau^4 is a cycle here)
+            on_page = self.rule_instances.get(r, {})
             for strip in range(0, b // 4 + 1):
-                inst = self._fam_rules.get(replace(m, rho=0, tau=b - 4 * strip))
-                if inst is not None and inst.page == r:
+                inst = on_page.get(replace(m, rho=0, tau=b - 4 * strip))
+                if inst is not None:
                     if inst.target is None:
                         return None
                     out = multiply(cat, make_positive(cat, tau=4 * strip), inst.target)
                     return self._wrap(a, out)
             fam = cat.families[m.family]
             if fam.permanent_cycle and b >= fam.perm_tau_prefix:
-                p = fam.perm_tau_prefix
-                unit = replace(m, rho=0, tau=p)  # declared permanent cycle
-                dt = self.tau_power_d(b - p, r)
-                if dt is _UNKNOWN:
-                    return _UNKNOWN
-                return self._wrap(a, None if dt is None else multiply(cat, dt, unit))
-            z = replace(m, rho=0, tau=0)
-            if not self._underlying_d_zero(z, r):
-                return _UNKNOWN
-            dt = self.tau_power_d(b, r)
-            if dt is _UNKNOWN:
-                return _UNKNOWN
-            return self._wrap(a, None if dt is None else multiply(cat, dt, z))
-        z = replace(m, rho=0, tau=0)  # pure: d carried entirely by the tau power
-        dt = self.tau_power_d(b, r)
+                p = fam.perm_tau_prefix  # tau^p z is a declared permanent cycle
+            elif self.index.targets(replace(m, rho=0, tau=0), r):
+                return _UNKNOWN  # the tau-free class z may support a d_r
+        dt = self.tau_power_d(b - p, r)
         if dt is _UNKNOWN:
             return _UNKNOWN
-        return self._wrap(a, None if dt is None else multiply(cat, dt, z))
+        unit = replace(m, rho=0, tau=p)
+        return self._wrap(a, None if dt is None else multiply(cat, dt, unit))
 
     def alive(self, m: MonomialClass, r: int) -> bool:
         """Certified survival to page r; conservatively False on unknowns."""
@@ -463,22 +433,23 @@ class BocksteinRun:
     #: values as resolved, before the page projection
     raw_differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
     assumptions: AssumptionLog = field(default_factory=AssumptionLog)
-    pages_run: List[int] = field(default_factory=list)
     #: E1 bases of every degree the run asks about
     index: E1Index = field(init=False, repr=False)
     oracle: PositiveOracle = field(init=False, repr=False)
     gpure: GammaPureOracle = field(init=False, repr=False)
-    #: the rule instances whose source the window stores, by page and source
-    rule_instances: Dict[int, Dict[MonomialClass, RuleInstance]] = field(init=False, repr=False)
-    #: pages 1..3, which run on every class, then every page a rule lands on
+    #: every rule instance in the window's k range
+    rule_instances: RuleIndex = field(init=False, repr=False)
+    #: pages 1..3, which run on every class, then each page with a stored rule source
     schedule: List[int] = field(init=False)
 
     def __post_init__(self):
         self.index = E1Index(self.cat, self.window, self.states)
-        self.oracle = PositiveOracle(self.cat, self.rules, self.index)
-        self.gpure = GammaPureOracle(self.cat, self.oracle)
         self.rule_instances = index_rules(self.cat, self.window, self.rules)
-        self.schedule = sorted({1, 2, 3} | self.rule_instances.keys())
+        self.oracle = PositiveOracle(self.cat, self.rule_instances, self.index)
+        self.gpure = GammaPureOracle(self.cat, self.oracle)
+        stored = {r for r, insts in self.rule_instances.items()
+                  if any(self.window.stores(degree_of(self.cat, s)) for s in insts)}
+        self.schedule = sorted({1, 2, 3} | stored)
 
     def dimension(self, d: TriDegree) -> int:
         st = self.states.get(d)
@@ -498,8 +469,6 @@ class PageResolver:
     def __init__(self, run: BocksteinRun, r: int):
         self.run = run
         self.r = r
-        self.oracle = run.oracle
-        self.gpure = run.gpure
         self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
         self.rule_instances = run.rule_instances.get(r, {})
@@ -522,7 +491,7 @@ class PageResolver:
         if not self.run.index.targets(m, self.r):
             return ZERO  # empty target in the full E1: forced zero
         if m.cone is Cone.POSITIVE:
-            val = self.oracle.d(m, self.r)
+            val = self.run.oracle.d(m, self.r)
             return _UNKNOWN if val is _UNKNOWN else self._chain(val or [])
         if self.scheduled:
             return _UNKNOWN  # pages >= 4: transfer passes may still determine it
@@ -535,8 +504,8 @@ class PageResolver:
         j, i = m.rho, m.tau
         x = replace(m, cone=Cone.POSITIVE, rho=0, tau=0)
         for i2 in range(i, i + 8):
-            dG = self.gpure.d(j, i2, self.r)
-            if dG is _UNKNOWN or not self.gpure.alive(j, i2, self.r):
+            dG = self.run.gpure.d(j, i2, self.r)
+            if dG is _UNKNOWN or not self.run.gpure.alive(j, i2, self.r):
                 continue
             y = make_positive(cat, 0, i2 - i, x.h0, x.h1, x.family, x.k)
             if y is None:
@@ -544,9 +513,9 @@ class PageResolver:
             G = make_gamma(cat, j, i2)
             if G is None or multiply(cat, y, G) != m:
                 continue  # factorization must reproduce the class
-            if not self.oracle.alive(y, self.r):
+            if not self.run.oracle.alive(y, self.r):
                 continue
-            dy = self.oracle.d(y, self.r)
+            dy = self.run.oracle.d(y, self.r)
             if dy is _UNKNOWN:
                 continue
             try:
@@ -558,7 +527,7 @@ class PageResolver:
             except ProductError:
                 continue
             return total
-        solved = annihilator_solve(cat, self.oracle, m, self.r, alive=self._page_alive)
+        solved = annihilator_solve(cat, self.run.oracle, m, self.r, alive=self._page_alive)
         return _UNKNOWN if solved is _UNKNOWN else self._chain(solved or [])
 
     def _page_alive(self, m: MonomialClass):
@@ -676,17 +645,15 @@ def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
     order = _resolution_order(needed)
     for m in order:
         resolver.resolve(m)
-    for _ in range(8):
-        if not resolver.transfer_pass(order):
-            break
+    while resolver.transfer_pass(order):
+        pass  # each productive pass adds a key to the finite ``values``
     out: Dict[MonomialClass, Chain] = {}
     for m in order:
-        val = resolver.values.get(m, _UNKNOWN)
-        if val is _UNKNOWN:
+        val = resolver.values.get(m)  # values holds only resolved Chains
+        if val is None:
             run.assumptions.note(r, m)
-            out[m] = ZERO
-        else:
-            out[m] = val
+            val = ZERO
+        out[m] = val
     return out
 
 
@@ -810,14 +777,15 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
         st.set_rows(gf2.rref(st.cycles + tuple(boundaries)), boundaries)
 
 
-def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]
-                ) -> Dict[int, Dict[MonomialClass, RuleInstance]]:
-    """Every rule instance whose source the window stores, by page and source.
+def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]) -> RuleIndex:
+    """Every rule instance in the window's k range, by page and source.
 
-    One ``instances_in`` pass per rule. Two rules that give the same source
-    different targets on one page raise ``ConflictError``.
+    One ``instances_in`` pass per rule. Sources outside the window are kept:
+    the positive oracle reads them through rho and tau^4 factors. Two rules
+    that give the same source different targets on one page raise
+    ``ConflictError``, wherever that source lies.
     """
-    by_page: Dict[int, Dict[MonomialClass, RuleInstance]] = {}
+    by_page: RuleIndex = {}
     for rule in rules:
         for inst in rule.instances_in(cat, window):
             page = by_page.setdefault(inst.page, {})
@@ -856,7 +824,6 @@ def run_bockstein(
                 page_true[m] = reduced
         run.differentials[r] = page_true
         turn_page(run, diffs, r)
-        run.pages_run.append(r)
     return run
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import xml.sax.saxutils
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .adams import AdamsPage
 from .monomials import Cone, MonomialClass, degree_of, display, module_action
@@ -77,10 +77,9 @@ class ChartDocument:
 _FAN = [(0.0, 0.0), (0.22, 0.1), (-0.22, -0.1), (0.22, -0.1), (-0.22, 0.1)]
 
 
-def chart_from_page(
-    source, kind: str = "e2", x_max: Optional[int] = None, y_max: Optional[int] = None
-) -> ChartDocument:
-    """Region chart of the final page ("e2") or with hidden extensions ("einf")."""
+def chart_from_page(source, kind: str = "e2") -> ChartDocument:
+    """Region chart of the final page ("e2") or with hidden extensions ("einf"),
+    over the window's asserted stems and its filtration bound."""
     if isinstance(source, AdamsPage):
         page, run = source, source.run
     else:
@@ -88,8 +87,7 @@ def chart_from_page(
     if kind == "einf" and page is None:
         raise ValueError("an extension-decorated page is required for the einf chart")
     cat, window = run.cat, run.window
-    x_max = window.max_stem if x_max is None else x_max
-    y_max = window.max_f if y_max is None else y_max
+    x_max, y_max = window.max_stem, window.max_f
     doc = ChartDocument(title=kind, x_max=x_max, y_max=y_max)
 
     from .adams import region_classes
@@ -142,12 +140,16 @@ def chart_from_page(
     return doc
 
 
-def ko_chart(x_max: int = 20, y_max: int = 14) -> ChartDocument:
+KO_X_MAX, KO_Y_MAX = 20, 14  # the stem and filtration range of the ko chart
+
+
+def ko_chart() -> ChartDocument:
     """Reference chart for connective real K-theory, from shipped static data.
 
     This page is not computed by the engine; the data file is a transcription
     kept only so the chart set is complete.
     """
+    x_max, y_max = KO_X_MAX, KO_Y_MAX
     text = resources.files("blregion").joinpath("data/ko_chart.txt").read_text("utf-8")
     doc = ChartDocument(title="ko", x_max=x_max, y_max=y_max)
     for raw in text.splitlines():

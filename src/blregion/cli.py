@@ -79,31 +79,34 @@ def _table(header: List[str], rows: List[List[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_tables(page: AdamsPage, kind: str, k_max: int = 20) -> str:
+REPORT_K_MAX, MAHOWALD_K_MAX = 20, 12  # fixed k ranges, not yet taken from the window
+
+
+def report_tables(page: AdamsPage, kind: str) -> str:
     """Render one report kind as pretty text plus tab-separated rows."""
     if kind == "divisibility":
         rows = [
             [str(rec.k), f"rho^{rec.max_rho_power}", str(rec.max_rho_power)]
-            for rec in divisibility_table(page, k_max)
+            for rec in divisibility_table(page, REPORT_K_MAX)
         ]
         return _table(["k", "max rho power dividing eta^k", "exponent"], rows)
     if kind == "fixed-points":
         rows = [
             [str(rec.k), f"2^{rec.fixed_point_generator_exponent}",
              str(rec.fixed_point_generator_exponent)]
-            for rec in divisibility_table(page, k_max)
+            for rec in divisibility_table(page, REPORT_K_MAX)
         ]
         return _table(["k", "fixed-point image generator", "exponent"], rows)
     if kind == "two-divisibility":
         rows = [
             [str(rec.k), f"2^{rec.max_two_power}", str(rec.max_two_power)]
-            for rec in divisibility_table(page, k_max)
+            for rec in divisibility_table(page, REPORT_K_MAX)
             if rec.max_two_power is not None
         ]
         return _table(["k", "max 2-power dividing eta^k", "exponent"], rows)
     if kind == "mahowald":
         rows = []
-        for k in range(0, min(k_max, 12) + 1):
+        for k in range(0, MAHOWALD_K_MAX + 1):
             det = mahowald_invariant_of_2k(page, k)
             rows.append([f"2^{k}", display(det), "not computed"])
         return _table(["class", "Mahowald invariant detector", "indeterminacy"], rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .catalog import Catalog, Q_SHIFT
+from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from .monomials import (
     Cone,
@@ -54,8 +54,8 @@ def _underlying_with_filtration(cat: Catalog, f: int) -> Iterator[MonomialClass]
             continue  # torsion towers are pure h1 powers, already listed
         if fam.period.f <= 0:
             continue
-        h0_max = 0 if fam.h0_height >= 10**8 else fam.h0_height
-        h1_max = 0 if fam.h1_height >= 10**8 else fam.h1_height
+        h0_max = 0 if fam.h0_height >= INF_HEIGHT else fam.h0_height
+        h1_max = 0 if fam.h1_height >= INF_HEIGHT else fam.h1_height
         for b0 in range(h0_max + 1):
             for b1 in range(h1_max + 1):
                 if b0 and b1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True, order=True)
@@ -43,27 +44,31 @@ DIFFERENTIAL_SHIFT = TriDegree(-1, 1, 0)
 class Window:
     """Finite stem/coweight/filtration box in which pages are computed.
 
-    The asserted ranges are padded internally (``stem_pad``/``coweight_pad``)
-    so that differentials leaving or entering the asserted box are still
+    Only the top stem and the coweights are chosen: the lowest stem and the
+    padding are class constants and ``max_f`` is ``max_stem + 2``. The
+    asserted ranges are padded internally (``stem_pad``/``coweight_pad``) so
+    that differentials leaving or entering the asserted box are still
     visible; classes inside the padding are treated as
     indeterminate-at-boundary and excluded from census assertions.
     """
 
+    min_stem: ClassVar[int] = -2
+    stem_pad: ClassVar[int] = 4
+    coweight_pad: ClassVar[int] = 1
+
     max_stem: int = 24
-    min_stem: int = -2
     min_coweight: int = -2
     max_coweight: int = 1
-    max_f: int = 0  # 0 means "derive from max_stem"
-    stem_pad: int = 4
-    coweight_pad: int = 1
 
     def __post_init__(self):
-        if self.max_f == 0:
-            object.__setattr__(self, "max_f", self.max_stem + 2)
         if self.max_stem < self.min_stem:
             raise ValueError("empty stem range")
         if self.max_coweight < self.min_coweight:
             raise ValueError("empty coweight range")
+
+    @property
+    def max_f(self) -> int:
+        return self.max_stem + 2
 
     # Stored = asserted plus padding; construction and page turning happen
     # over the stored box, assertions only over the asserted one.

@@ -53,12 +53,13 @@ class DifferentialRule:
         return RuleInstance(self.page_of(k), src, self.target_of(cat, k), self.label)
 
     def instances_in(self, cat: Catalog, window: Window) -> Iterator[RuleInstance]:
+        """Every instance from ``k_min`` on, whether or not the window stores
+        its source, up to a k bound that grows with the window."""
         for k in range(self.k_min, self.k_min + window.stored_max_stem + window.max_f + 16):
             inst = self.instance(cat, k)
             if inst is None:
                 break
-            if window.stores(degree_of(cat, inst.source)):
-                yield inst
+            yield inst
 
 
 def seed_rules(cat: Catalog) -> List[DifferentialRule]:

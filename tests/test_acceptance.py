@@ -160,7 +160,7 @@ def test_criterion_7_property_suite(cat, timed_default):
     run, _page, _ = timed_default
     # d o d = 0 and the filtration jump are hard engine checks: reaching the
     # last page means every page passed them
-    ok = run.pages_run == sorted(run.pages_run) and len(run.pages_run) >= 5
+    ok = run.schedule == sorted(run.schedule) and len(run.schedule) >= 5
     rep = check_structural_constraints(run)
     ok = ok and rep.ok
     adams = adams_no_differentials(run)

@@ -175,6 +175,18 @@ def test_d_squared_nonzero_is_engine_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_override_against_seed_outside_window_is_engine_error(tmp_path):
+    # the seeded d_3(tau^3 h_0^3 h_3) = rho^3 tau P h_1 has its source
+    # outside the stem-24 window; an override that declares it zero must
+    # still be caught as a conflict, not silently win
+    rules = tmp_path / "rules.txt"
+    rules.write_text("3 | tau^3 P^{k} h_0^3 h_3 | 0 | 0..0\n")
+    r = run_cli("--max-stem", "24", "--rules-override", str(rules))
+    assert r.returncode == 3, r.stderr
+    assert "two rules disagree" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_coweights_flag():
     r = run_cli("--report", "census", "--max-stem", "10", "--coweights=-1..1")
     assert r.returncode == 0

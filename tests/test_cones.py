@@ -74,7 +74,7 @@ def cone_part(run, cone):
 
 
 def test_coweight_zero_slice_is_free_on_h0_h1_rho(cat):
-    w = Window(max_stem=3, stem_pad=0, max_f=6)
+    w = Window(max_stem=4)  # filtrations up to 6
     pos = positive_part(cat, w)
     names = sorted(
         display(m)
@@ -95,7 +95,7 @@ def test_coweight_zero_slice_is_free_on_h0_h1_rho(cat):
 
 
 def test_stem_zero_column(cat):
-    w = Window(max_stem=0, stem_pad=0, max_f=5)
+    w = Window(max_stem=3)  # filtrations up to 5
     pos = positive_part(cat, w)
     cw0 = [
         display(m)

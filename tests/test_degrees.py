@@ -42,7 +42,7 @@ def test_differential_shift():
 
 
 def test_window_stores_and_asserts():
-    w = Window(max_stem=10, stem_pad=2, coweight_pad=1)
+    w = Window(max_stem=10)
     assert w.stores(TriDegree(12, 3, 12))
     assert not w.asserts(TriDegree(12, 3, 12))
     assert w.asserts(TriDegree(5, 3, 5))

@@ -1,6 +1,6 @@
 import pytest
 
-from blregion.degrees import TriDegree, Window
+from blregion.degrees import TriDegree
 from blregion.monomials import degree_of, make_gamma, make_positive, make_q
 from blregion.rules import (
     load_rule_overrides,
@@ -105,8 +105,14 @@ def test_override_file_parsed_at_load(cat, tmp_path):
     assert len(load_rule_overrides(cat, path)) == 1
 
 
-def test_rule_instances_stay_inside_window(cat):
-    w = Window(max_stem=10)
-    for rule in seed_rules(cat):
-        for inst in rule.instances_in(cat, w):
-            assert w.stores(degree_of(cat, inst.source))
+def test_one_rule_index_sets_the_schedule(cat, run10):
+    assert run10.schedule == [1, 2, 3, 4]
+    stored_pages = {
+        r for r, insts in run10.rule_instances.items()
+        for src in insts if run10.window.stores(degree_of(cat, src))
+    }
+    assert run10.schedule == sorted({1, 2, 3} | stored_pages)
+    # the index keeps instances whose source lies outside the window
+    tau3 = make_positive(cat, tau=3)
+    assert not run10.window.stores(degree_of(cat, tau3))
+    assert run10.rule_instances[1][tau3].target == make_positive(cat, rho=1, tau=2, h0=1)
