@@ -14,6 +14,10 @@ the positive-cone factorization oracle, tensor factorizations of gamma
 classes through ruled pure-gamma divisors, annihilator relations
 (differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
 rho-tower transfer; pages past 3 use only rules, vanishing and transfer.
+``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
+run only on pages r <= 3 and only for gamma classes with rho >= r (any other
+has no target). Both oracles certify survival by one rule: a class no d_q can
+hit survives to page r exactly when every d_q of it, q < r, is known zero.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives cached until the rows change.
@@ -120,7 +124,10 @@ class PositiveOracle:
     modulo tau^4 and rho factors, the declared permanent cycles, and
     empty-target vanishing; composite values follow by the Leibniz rule over
     the factorization rho^a tau^b z. Only family classes are looked up in
-    the rule index, so tau-power sources never reach it.
+    the rule index, so tau-power sources never reach it. ``alive`` is asked
+    only about rho-free classes, which no d_q can hit (a positive d_q raises
+    the rho-exponent by q), so such a class survives to page r exactly when
+    every d_q(m), q < r, is known zero.
     """
 
     def __init__(self, cat: Catalog, rule_instances: RuleIndex, index: E1Index):
@@ -128,7 +135,6 @@ class PositiveOracle:
         self.index = index
         self.rule_instances = rule_instances
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
-        self._alive_memo: Dict[Tuple[MonomialClass, int], bool] = {}
 
     def tau_power_d(self, b: int, r: int):
         """d_r(tau^b) as a monomial (None = zero) or _UNKNOWN off-schedule."""
@@ -189,39 +195,19 @@ class PositiveOracle:
         return self._wrap(a, None if dt is None else multiply(cat, dt, unit))
 
     def alive(self, m: MonomialClass, r: int) -> bool:
-        """Certified survival to page r; conservatively False on unknowns."""
-        key = (m, r)
-        if key in self._alive_memo:
-            return self._alive_memo[key]
-        self._alive_memo[key] = True  # break self-reference cycles
-        ok = self._alive_raw(m, r)
-        self._alive_memo[key] = ok
-        return ok
-
-    def _alive_raw(self, m: MonomialClass, r: int) -> bool:
-        """False once some d_q(m), q < r, is unknown or nonzero, or a certified
-        page-q class one degree back has m in its known d_q."""
-        src_deg = degree_of(self.cat, m) + TriDegree(1, -1, 0)
-        for q in range(1, r):
-            val = self.d(m, q)
-            if val is _UNKNOWN or val:
-                return False
-            if m.rho < q or src_deg.f < 0:
-                continue
-            for s in self.index.at(src_deg, Cone.POSITIVE):
-                if s.rho != m.rho - q or not self.alive(s, q):
-                    continue
-                sval = self.d(s, q)
-                if sval is not _UNKNOWN and sval and m in sval:
-                    return False
-        return True
+        """Survival of the rho-free class m to page r; False on unknowns."""
+        return all(self.d(m, q) is None for q in range(1, r))
 
 
 # --- pure gamma oracle ----------------------------------------------------------
 
 
 class GammaPureOracle:
-    """Differentials on the divided classes gamma/(rho^j tau^i) themselves."""
+    """Differentials on the divided classes gamma/(rho^j tau^i) themselves.
+
+    Asked only for pages r <= 3 and j >= r (the page resolver's gate). No d_q
+    hits such a class: it survives to page r when each d_q, q < r, is known zero.
+    """
 
     def __init__(self, cat: Catalog, oracle: PositiveOracle):
         self.cat = cat
@@ -236,8 +222,6 @@ class GammaPureOracle:
 
     def _d_raw(self, j: int, i: int, r: int):
         cat = self.cat
-        if j < r:
-            return None  # value would land in positive Bockstein filtration
         if r == 1 and i % 2 == 1:
             out = make_gamma(cat, j - 1, i + 1, h0=1)
             return [out] if out is not None else None
@@ -246,19 +230,10 @@ class GammaPureOracle:
             return [out] if out is not None else None
         if r == 3 and i % 4 == 0:
             return None
-        if r > 3:
-            return _UNKNOWN
-        src = make_gamma(cat, j, i)
-        if src is None:
-            return _UNKNOWN
-        return annihilator_solve(cat, self.oracle, src, r)
+        return annihilator_solve(cat, self.oracle, make_gamma(cat, j, i), r)
 
     def alive(self, j: int, i: int, r: int) -> bool:
-        for q in range(1, r):
-            val = self.d(j, i, q)
-            if val is _UNKNOWN or val:
-                return False
-        return True  # filtration-0 classes are never differential targets
+        return all(self.d(j, i, q) is None for q in range(1, r))
 
 
 def annihilator_solve(
@@ -270,6 +245,10 @@ def annihilator_solve(
 ):
     """Solve for d_r(src) by differentiating tau^n * src = 0.
 
+    ``src`` is a gamma class with rho >= r on a page r <= 3 (the page
+    resolver's gate); tau^n, the first of tau^i, tau^(i+1), ... alive on page
+    r, has a known d_r with no family factor.
+
     Returns a list of monomials, None for zero, or _UNKNOWN when the kernel
     of tau^n-multiplication leaves more than one possibility after the h0/h1
     annihilation filters. The relation lives on the page, so a nonzero
@@ -277,21 +256,12 @@ def annihilator_solve(
     as a surviving page class (it may legitimately certify it dead, which
     flips the right-hand side to zero); with no callback such solves decline.
     """
-    if src.cone is not Cone.GAMMA:
-        return _UNKNOWN
-    step = {1: 1, 2: 2, 3: 4}.get(r)
-    if step is None:
-        return _UNKNOWN
+    step = {1: 1, 2: 2, 3: 4}[r]
     n = src.tau
     while n % step:
         n += 1
     dt = oracle.tau_power_d(n, r)
-    if dt is _UNKNOWN:
-        return _UNKNOWN
-    try:
-        rhs = multiply(cat, dt, src) if dt is not None else None
-    except ProductError:
-        return _UNKNOWN
+    rhs = multiply(cat, dt, src) if dt is not None else None
     if rhs is not None:
         status = alive(rhs) if alive is not None else None
         if status is None:
@@ -299,8 +269,6 @@ def annihilator_solve(
         if status is False:
             rhs = None  # dead on the page: the relation reads zero
 
-    if src.filtration() + r > 0:
-        return None
     candidates = oracle.index.targets(src, r)
     if alive is not None:
         candidates = [m for m in candidates if alive(m) is not False]
@@ -476,15 +444,8 @@ class PageResolver:
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         return chain_of(self.run.cat, self.run.window, monos)
 
-    def resolve(self, m: MonomialClass):
-        if m in self.values:
-            return self.values[m]
-        val = self._resolve_raw(m)
-        if val is not _UNKNOWN:
-            self.values[m] = val
-        return val
-
     def _resolve_raw(self, m: MonomialClass):
+        """d_r(m) or _UNKNOWN; the gamma mechanisms see only r <= 3, rho >= r."""
         inst = self.rule_instances.get(m)
         if inst is not None:
             return self._chain([inst.target] if inst.target else [])
@@ -642,9 +603,11 @@ def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
             for t, mono in enumerate(st.basis):
                 if (rep >> t) & 1:
                     needed.add(mono)
-    order = _resolution_order(needed)
+    order = _resolution_order(needed)  # each class once, before any transfer
     for m in order:
-        resolver.resolve(m)
+        val = resolver._resolve_raw(m)
+        if val is not _UNKNOWN:
+            resolver.values[m] = val
     while resolver.transfer_pass(order):
         pass  # each productive pass adds a key to the finite ``values``
     out: Dict[MonomialClass, Chain] = {}
@@ -800,12 +763,11 @@ def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule])
 
 def run_bockstein(
     cat: Catalog,
-    window: Optional[Window] = None,
+    window: Window,
     rules: Optional[Sequence[DifferentialRule]] = None,
     extra_rules: Sequence[DifferentialRule] = (),
 ) -> BocksteinRun:
     """Run the Bockstein spectral sequence to its last scheduled page."""
-    window = window or Window()
     rules = list(rules if rules is not None else seed_rules(cat)) + list(extra_rules)
     e1 = build_e1(cat, window)
     run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()}, rules)

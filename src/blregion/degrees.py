@@ -94,7 +94,7 @@ class Window:
             and self.min_coweight <= d.coweight <= self.max_coweight
         )
 
-    def near_boundary(self, d: TriDegree, reach: int = 0) -> bool:
+    def near_boundary(self, d: TriDegree, reach: int) -> bool:
         """True if d sits in the padding or within `reach` of the stored edge."""
         return not (
             self.min_stem <= d.s <= self.max_stem - reach

@@ -65,10 +65,10 @@ class DifferentialRule:
 def seed_rules(cat: Catalog) -> List[DifferentialRule]:
     """The seeded rule list; every other differential is inferred closure."""
 
-    def tau_pow(k_to_exp, page, k_to_target, label, k_min=0):
+    def tau_pow(k_to_exp, page, k_to_target, label):
         return DifferentialRule(
             label=label,
-            k_min=k_min,
+            k_min=0,
             page_of=lambda k: page,
             source_of=lambda c, k: make_positive(c, tau=k_to_exp(k)),
             target_of=k_to_target,

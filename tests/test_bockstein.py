@@ -339,6 +339,24 @@ def test_cached_reps_match_fresh_subquotient(cat):
     assert pages >= 4
 
 
+@pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
+                         ids=["cw-2..1", "cw-6..1"])
+def test_positive_oracle_survival_is_sound_on_the_page(cat, window):
+    # the gamma factorization trusts oracle.alive(y, r) for rho-free positive
+    # y; every class it certifies must be alive on the page it is asked about
+    run = fresh_run(cat, window, seed_rules(cat))
+    for r in run.schedule:
+        if r > 4:
+            break
+        if r > 1:
+            certified = [m for st in run.states.values() for m in st.basis
+                         if m.cone is Cone.POSITIVE and m.rho == 0 and run.oracle.alive(m, r)]
+            for m in certified:
+                assert run.monomial_alive(m), f"{display(m)} certified but dead on page {r}"
+            assert len(certified) >= 30, r
+        turn_page(run, resolve_page(run, r), r)
+
+
 def test_rule_override_changes_outcome(cat):
     # declaring the first torsion-tower differential zero keeps the whole
     # tower alive, which the divisibility walk can no longer certify

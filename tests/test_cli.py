@@ -67,6 +67,13 @@ def test_chart_written_and_deterministic(tmp_path):
     assert out1.read_bytes().startswith(b"<?xml")
 
 
+def test_unwritable_chart_path_is_io_error(tmp_path):
+    r = run_cli("--max-stem", "8", "--chart", "einf", "--out", str(tmp_path / "missing" / "x.svg"))
+    assert r.returncode == 4, r.stderr
+    assert "cannot write chart" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_ko_chart_tikz(tmp_path):
     out = tmp_path / "ko.tex"
     r = run_cli("--chart", "ko", "--format", "tikz", "--out", str(out),
