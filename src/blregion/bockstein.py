@@ -4,20 +4,25 @@ A ``BocksteinRun`` owns everything its page loop consults, built once from
 its catalog, window, E1 states and rules: the ``E1Index``, the one index of
 rule instances by page (``index_rules``), which both the page resolver and
 the positive oracle read, the page schedule (pages 1..3 and every page where
-a rule has a stored source) and the two oracles. ``resolve_page(run, r)`` then
-needs only the run and the page. Differentials are stored as values on basis
-monomials; matrices are only materialized when a page is turned, and the
+a rule has a stored source) and the positive oracle. ``resolve_page(run, r)``
+then needs only the run and the page. Differentials are stored as values on
+basis monomials; matrices are only materialized when a page is turned, and the
 turn touches only the degrees a nonzero d_r leaves or enters, so its work
 follows the differentials rather than the window. A page differential is
 resolved from, in order: seeded rules, filtration or empty-target vanishing,
-the positive-cone factorization oracle, tensor factorizations of gamma
-classes through ruled pure-gamma divisors, annihilator relations
-(differentiating tau^n * x = 0 and solving), h0/h1 Leibniz transfer and
-rho-tower transfer; pages past 3 use only rules, vanishing and transfer.
+the positive-cone factorization oracle, the factorization of a gamma class
+through one pure-gamma divisor, annihilator relations (differentiating
+tau^n * x = 0 and solving), h0/h1 Leibniz transfer and rho-tower transfer;
+pages past 3 use only rules, vanishing and transfer. The seeded tau-power
+rules are also stated in closed form: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3)
+divides the tau exponent of every tau power and pure gamma class alive on
+page r, and ``tau_power_d`` and ``pure_gamma_d`` give their d_r.
 ``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
 run only on pages r <= 3 and only for gamma classes with rho >= r (any other
-has no target). Both oracles certify survival by one rule: a class no d_q can
-hit survives to page r exactly when every d_q of it, q < r, is known zero.
+has no target), and each gamma class is tried at one tau exponent n, the
+first multiple of ``TAU_STEP[r]`` at or above its own. The positive oracle
+certifies survival by one rule: a class no d_q can hit survives to page r
+exactly when every d_q of it, q < r, is known zero.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives cached until the rows change.
@@ -93,6 +98,8 @@ ZERO = Chain()
 
 
 def chain_of(cat: Catalog, window: Window, monos: Iterable[Optional[MonomialClass]]) -> Chain:
+    """The F2 sum of ``monos`` (None is zero). An empty sum returns ``ZERO``, so
+    the many zero values a page resolves share one object."""
     terms: Set[MonomialClass] = set()
     external: Set[MonomialClass] = set()
     for m in monos:
@@ -100,6 +107,8 @@ def chain_of(cat: Catalog, window: Window, monos: Iterable[Optional[MonomialClas
             continue
         bucket = terms if window.stores(degree_of(cat, m)) else external
         bucket.symmetric_difference_update({m})
+    if not terms and not external:
+        return ZERO
     return Chain(frozenset(terms), frozenset(external))
 
 
@@ -107,6 +116,38 @@ def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chai
     return chain_of(
         cat, window, (multiply(cat, factor, m) for m in itertools.chain(ch.terms, ch.external))
     )
+
+
+# --- the seeded tau-power differentials in closed form --------------------------
+
+
+#: on page r <= 3, tau^b and gamma/(rho^j tau^b) (j >= r) are alive exactly when
+#: TAU_STEP[r] divides b: d_1(tau) = rho h_0, d_2(tau^2) = rho^2 tau h_1, d_3(tau^4) = 0
+TAU_STEP = {1: 1, 2: 2, 3: 4}
+
+
+def tau_power_d(cat: Catalog, b: int, r: int):
+    """d_r(tau^b) as a monomial (None = zero), or _UNKNOWN when tau^b is dead
+    before page r or r is past the globally-run pages 1..3."""
+    if b == 0:
+        return None
+    if r > 3 or b % TAU_STEP[r]:
+        return _UNKNOWN
+    if r == 1 and b % 2:
+        return make_positive(cat, rho=1, tau=b - 1, h0=1)
+    if r == 2 and b % 4 == 2:
+        return make_positive(cat, rho=2, tau=b - 1, h1=1)
+    return None
+
+
+def pure_gamma_d(cat: Catalog, j: int, i: int, r: int) -> Optional[MonomialClass]:
+    """d_r(gamma/(rho^j tau^i)) for r <= 3 and j >= r, None for zero: the class
+    differentiates like rho^-j tau^-i, and on page 3 its target degree is empty."""
+    if r == 1 and i % 2:
+        return make_gamma(cat, j - 1, i + 1, h0=1)
+    if r == 2 and i % 4 == 2:
+        return make_gamma(cat, j - 2, i + 1, h1=1)
+    return None
 
 
 # --- positive-cone oracle -------------------------------------------------------
@@ -120,11 +161,12 @@ class PositiveOracle:
     """Symbolic page differentials and survival for positive-cone monomials.
 
     Valid on pages 1..3 (the globally-run pages). The knowledge atoms are the
-    tau-power rules (``tau_power_d``), exact matches in the run's rule index
-    modulo tau^4 and rho factors, the declared permanent cycles, and
-    empty-target vanishing; composite values follow by the Leibniz rule over
-    the factorization rho^a tau^b z. Only family classes are looked up in
-    the rule index, so tau-power sources never reach it. ``alive`` is asked
+    tau-power rules in closed form (the module's ``tau_power_d``), exact
+    matches in the run's rule index modulo tau^4 and rho factors, the
+    declared permanent cycles, and empty-target vanishing; composite values
+    follow by the Leibniz rule over the factorization rho^a tau^b z. Only
+    family classes are looked up in the rule index, so tau-power sources
+    never reach it. ``alive`` is asked
     only about rho-free classes, which no d_q can hit (a positive d_q raises
     the rho-exponent by q), so such a class survives to page r exactly when
     every d_q(m), q < r, is known zero.
@@ -135,21 +177,6 @@ class PositiveOracle:
         self.index = index
         self.rule_instances = rule_instances
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
-
-    def tau_power_d(self, b: int, r: int):
-        """d_r(tau^b) as a monomial (None = zero) or _UNKNOWN off-schedule."""
-        cat = self.cat
-        if b == 0:
-            return None
-        if r == 1:
-            return make_positive(cat, rho=1, tau=b - 1, h0=1) if b % 2 else None
-        if r == 2:
-            if b % 2:
-                return _UNKNOWN  # class already dead, no page-2 value
-            return make_positive(cat, rho=2, tau=b - 1, h1=1) if b % 4 == 2 else None
-        if r == 3:
-            return None if b % 4 == 0 else _UNKNOWN
-        return _UNKNOWN  # pages >= 4 run on the rule schedule only
 
     def d(self, m: MonomialClass, r: int):
         """Resolved d_r(m) as a list of monomials, None for zero, or _UNKNOWN."""
@@ -188,7 +215,7 @@ class PositiveOracle:
                 p = fam.perm_tau_prefix  # tau^p z is a declared permanent cycle
             elif self.index.targets(replace(m, rho=0, tau=0), r):
                 return _UNKNOWN  # the tau-free class z may support a d_r
-        dt = self.tau_power_d(b - p, r)
+        dt = tau_power_d(cat, b - p, r)
         if dt is _UNKNOWN:
             return _UNKNOWN
         unit = replace(m, rho=0, tau=p)
@@ -197,121 +224,6 @@ class PositiveOracle:
     def alive(self, m: MonomialClass, r: int) -> bool:
         """Survival of the rho-free class m to page r; False on unknowns."""
         return all(self.d(m, q) is None for q in range(1, r))
-
-
-# --- pure gamma oracle ----------------------------------------------------------
-
-
-class GammaPureOracle:
-    """Differentials on the divided classes gamma/(rho^j tau^i) themselves.
-
-    Asked only for pages r <= 3 and j >= r (the page resolver's gate). No d_q
-    hits such a class: it survives to page r when each d_q, q < r, is known zero.
-    """
-
-    def __init__(self, cat: Catalog, oracle: PositiveOracle):
-        self.cat = cat
-        self.oracle = oracle
-        self._memo: Dict[Tuple[int, int, int], object] = {}
-
-    def d(self, j: int, i: int, r: int):
-        key = (j, i, r)
-        if key not in self._memo:
-            self._memo[key] = self._d_raw(j, i, r)
-        return self._memo[key]
-
-    def _d_raw(self, j: int, i: int, r: int):
-        cat = self.cat
-        if r == 1 and i % 2 == 1:
-            out = make_gamma(cat, j - 1, i + 1, h0=1)
-            return [out] if out is not None else None
-        if r == 2 and i % 4 == 2:
-            out = make_gamma(cat, j - 2, i + 1, h1=1)
-            return [out] if out is not None else None
-        if r == 3 and i % 4 == 0:
-            return None
-        return annihilator_solve(cat, self.oracle, make_gamma(cat, j, i), r)
-
-    def alive(self, j: int, i: int, r: int) -> bool:
-        return all(self.d(j, i, q) is None for q in range(1, r))
-
-
-def annihilator_solve(
-    cat: Catalog,
-    oracle: PositiveOracle,
-    src: MonomialClass,
-    r: int,
-    alive=None,
-):
-    """Solve for d_r(src) by differentiating tau^n * src = 0.
-
-    ``src`` is a gamma class with rho >= r on a page r <= 3 (the page
-    resolver's gate); tau^n, the first of tau^i, tau^(i+1), ... alive on page
-    r, has a known d_r with no family factor.
-
-    Returns a list of monomials, None for zero, or _UNKNOWN when the kernel
-    of tau^n-multiplication leaves more than one possibility after the h0/h1
-    annihilation filters. The relation lives on the page, so a nonzero
-    right-hand side is only usable when the ``alive`` callback certifies it
-    as a surviving page class (it may legitimately certify it dead, which
-    flips the right-hand side to zero); with no callback such solves decline.
-    """
-    step = {1: 1, 2: 2, 3: 4}[r]
-    n = src.tau
-    while n % step:
-        n += 1
-    dt = oracle.tau_power_d(n, r)
-    rhs = multiply(cat, dt, src) if dt is not None else None
-    if rhs is not None:
-        status = alive(rhs) if alive is not None else None
-        if status is None:
-            return _UNKNOWN  # cannot place the relation on the page
-        if status is False:
-            rhs = None  # dead on the page: the relation reads zero
-
-    candidates = oracle.index.targets(src, r)
-    if alive is not None:
-        candidates = [m for m in candidates if alive(m) is not False]
-    if not candidates:
-        if rhs is not None:
-            raise ConflictError(
-                f"tau-relation for {display(src)} on page {r} has no solution"
-            )
-        return None
-
-    # Linear system: unknown d(src) = sum of candidates with (1) tau^n * d(src)
-    # equal to d(tau^n) * src and (2) u * d(src) = 0 whenever u * src = 0.
-    blocks: List[List[Optional[MonomialClass]]] = []
-    tau_n = make_positive(cat, tau=n)
-    blocks.append([multiply(cat, tau_n, c) for c in candidates])
-    for u in ("h_0", "h_1"):
-        if module_action(cat, u, src) is None:
-            blocks.append([module_action(cat, u, c) for c in candidates])
-
-    col_index: Dict[Tuple[int, MonomialClass], int] = {}
-    for b_i, images in enumerate(blocks):
-        for im in images:
-            if im is not None and (b_i, im) not in col_index:
-                col_index[(b_i, im)] = len(col_index)
-    if rhs is not None and (0, rhs) not in col_index:
-        return _UNKNOWN  # only solvable modulo boundary slack: decline
-    columns = []
-    for c_i in range(len(candidates)):
-        v = 0
-        for b_i, images in enumerate(blocks):
-            im = images[c_i]
-            if im is not None:
-                v |= 1 << col_index[(b_i, im)]
-        columns.append(v)
-    rhs_vec = (1 << col_index[(0, rhs)]) if rhs is not None else 0
-
-    sol, kernel = gf2.solve(columns, rhs_vec)
-    if sol is None:
-        return _UNKNOWN  # solvable only up to boundary slack: decline
-    if kernel:
-        return _UNKNOWN  # under-determined: leave to other mechanisms
-    picked = [candidates[t] for t in range(len(candidates)) if (sol >> t) & 1]
-    return picked or None
 
 
 # --- page states ----------------------------------------------------------------
@@ -387,8 +299,9 @@ class AssumptionLog:
 class BocksteinRun:
     """One run of ``rules`` in ``window``: its pages and what resolves them.
 
-    The E1 index, the rule instances, the page schedule and both oracles
-    are built once, from the first four fields, and live as long as the run.
+    The E1 index, the rule instances, the page schedule and the positive
+    oracle are built once, from the first four fields, and live as long as
+    the run.
     """
 
     cat: Catalog
@@ -404,7 +317,6 @@ class BocksteinRun:
     #: E1 bases of every degree the run asks about
     index: E1Index = field(init=False, repr=False)
     oracle: PositiveOracle = field(init=False, repr=False)
-    gpure: GammaPureOracle = field(init=False, repr=False)
     #: every rule instance in the window's k range
     rule_instances: RuleIndex = field(init=False, repr=False)
     #: pages 1..3, which run on every class, then each page with a stored rule source
@@ -414,7 +326,6 @@ class BocksteinRun:
         self.index = E1Index(self.cat, self.window, self.states)
         self.rule_instances = index_rules(self.cat, self.window, self.rules)
         self.oracle = PositiveOracle(self.cat, self.rule_instances, self.index)
-        self.gpure = GammaPureOracle(self.cat, self.oracle)
         stored = {r for r, insts in self.rule_instances.items()
                   if any(self.window.stores(degree_of(self.cat, s)) for s in insts)}
         self.schedule = sorted({1, 2, 3} | stored)
@@ -461,35 +372,95 @@ class PageResolver:
         return _UNKNOWN  # Q classes: rules, vanishing or transfer
 
     def _resolve_gamma(self, m: MonomialClass):
-        cat = self.run.cat
+        """d_r(m) for m = gamma/(rho^j tau^i) x, through the one tau exponent n.
+
+        n is the first multiple of ``TAU_STEP[r]`` at or above i, the least
+        n with gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
+        m = tau^(n-i) x * gamma/(rho^j tau^n) gives d_r(m) when the positive
+        oracle knows the first factor alive and its d_r; otherwise the
+        annihilator solve differentiates tau^n * m = 0. No larger n is
+        tried: the oracle's verdict on tau^b z for q < r depends on b only
+        modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``.
+        """
+        cat, oracle, r = self.run.cat, self.run.oracle, self.r
         j, i = m.rho, m.tau
-        x = replace(m, cone=Cone.POSITIVE, rho=0, tau=0)
-        for i2 in range(i, i + 8):
-            dG = self.run.gpure.d(j, i2, self.r)
-            if dG is _UNKNOWN or not self.run.gpure.alive(j, i2, self.r):
-                continue
-            y = make_positive(cat, 0, i2 - i, x.h0, x.h1, x.family, x.k)
-            if y is None:
-                continue
-            G = make_gamma(cat, j, i2)
-            if G is None or multiply(cat, y, G) != m:
-                continue  # factorization must reproduce the class
-            if not self.run.oracle.alive(y, self.r):
-                continue
-            dy = self.run.oracle.d(y, self.r)
-            if dy is _UNKNOWN:
-                continue
-            try:
-                total = ZERO
-                for t in dG or []:
-                    total ^= self._chain([multiply(cat, y, t)])
-                for t in dy or []:
-                    total ^= self._chain([multiply(cat, t, G)])
-            except ProductError:
-                continue
-            return total
-        solved = annihilator_solve(cat, self.run.oracle, m, self.r, alive=self._page_alive)
-        return _UNKNOWN if solved is _UNKNOWN else self._chain(solved or [])
+        n = i + (-i) % TAU_STEP[r]
+        y = make_positive(cat, 0, n - i, m.h0, m.h1, m.family, m.k)
+        G = make_gamma(cat, j, n)
+        if y is not None and multiply(cat, y, G) == m and oracle.alive(y, r):
+            dy = oracle.d(y, r)
+            if dy is not _UNKNOWN:
+                dG = pure_gamma_d(cat, j, n, r)
+                terms = [multiply(cat, t, G) for t in dy or []]
+                if dG is not None:
+                    terms.append(multiply(cat, y, dG))
+                return self._chain(terms)
+        return self._annihilator_solve(m, n)
+
+    def _annihilator_solve(self, src: MonomialClass, n: int):
+        """Solve for d_r(src) by differentiating tau^n * src = 0.
+
+        ``src`` is a gamma class with rho >= r on a page r <= 3, and n (from
+        ``_resolve_gamma``) makes tau^n alive on page r, so d_r(tau^n) is known
+        and has no family factor. The relation lives on the page: a nonzero
+        right-hand side outside the window declines, and one dead on the page
+        reads zero. Candidates dead on the page are dropped.
+
+        Returns a Chain, or _UNKNOWN when the solve is only consistent modulo
+        boundary slack or the kernel of tau^n-multiplication leaves more than
+        one possibility after the h0/h1 annihilation filters.
+        """
+        cat, r = self.run.cat, self.r
+        dt = tau_power_d(cat, n, r)
+        rhs = multiply(cat, dt, src) if dt is not None else None
+        if rhs is not None:
+            status = self._page_alive(rhs)
+            if status is None:
+                return _UNKNOWN  # cannot place the relation on the page
+            if status is False:
+                rhs = None  # dead on the page: the relation reads zero
+
+        candidates = [c for c in self.run.index.targets(src, r)
+                      if self._page_alive(c) is not False]
+        if not candidates:
+            if rhs is not None:
+                raise ConflictError(
+                    f"tau-relation for {display(src)} on page {r} has no solution"
+                )
+            return ZERO
+
+        # Linear system: unknown d(src) = sum of candidates with (1) tau^n * d(src)
+        # equal to d(tau^n) * src and (2) u * d(src) = 0 whenever u * src = 0.
+        blocks: List[List[Optional[MonomialClass]]] = []
+        tau_n = make_positive(cat, tau=n)
+        blocks.append([multiply(cat, tau_n, c) for c in candidates])
+        for u in ("h_0", "h_1"):
+            if module_action(cat, u, src) is None:
+                blocks.append([module_action(cat, u, c) for c in candidates])
+
+        col_index: Dict[Tuple[int, MonomialClass], int] = {}
+        for b_i, images in enumerate(blocks):
+            for im in images:
+                if im is not None and (b_i, im) not in col_index:
+                    col_index[(b_i, im)] = len(col_index)
+        if rhs is not None and (0, rhs) not in col_index:
+            return _UNKNOWN  # only solvable modulo boundary slack: decline
+        columns = []
+        for c_i in range(len(candidates)):
+            v = 0
+            for b_i, images in enumerate(blocks):
+                im = images[c_i]
+                if im is not None:
+                    v |= 1 << col_index[(b_i, im)]
+            columns.append(v)
+        rhs_vec = (1 << col_index[(0, rhs)]) if rhs is not None else 0
+
+        sol, kernel = gf2.solve(columns, rhs_vec)
+        if sol is None:
+            return _UNKNOWN  # solvable only up to boundary slack: decline
+        if kernel:
+            return _UNKNOWN  # under-determined: leave to other mechanisms
+        return self._chain(candidates[t] for t in range(len(candidates)) if (sol >> t) & 1)
 
     def _page_alive(self, m: MonomialClass):
         """True/False page survival for stored monomials, None outside."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Tuple
 
-from .adams import AdamsPage
+from .adams import AdamsPage, region_classes
 from .monomials import Cone, MonomialClass, degree_of, display, module_action
 
 BLUE = "blue"
@@ -90,13 +90,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
     x_max, y_max = window.max_stem, window.max_f
     doc = ChartDocument(title=kind, x_max=x_max, y_max=y_max)
 
-    from .adams import region_classes
-
-    classes = [
-        m
-        for m in region_classes(run)
-        if degree_of(cat, m).s <= x_max and degree_of(cat, m).f <= y_max
-    ]
+    classes = region_classes(run)
     spots: Dict[Tuple[int, int], List[MonomialClass]] = {}
     for m in classes:
         d = degree_of(cat, m)

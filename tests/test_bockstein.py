@@ -4,19 +4,23 @@ import pytest
 
 from blregion import gf2
 from blregion.bockstein import (
+    TAU_STEP,
     ZERO,
     BocksteinRun,
     DegreeState,
     census_report,
     check_structural_constraints,
     expected_census_dimension,
+    pure_gamma_d,
     resolve_page,
     run_bockstein,
+    tau_power_d,
     turn_page,
 )
 from blregion.cones import build_e1
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
-from blregion.monomials import Cone, degree_of, display, make_positive, make_q
+from blregion.monomials import (Cone, degree_of, display, make_gamma, make_positive,
+                                make_q)
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
 
 def fresh_run(cat, window, rules):
@@ -355,6 +359,55 @@ def test_positive_oracle_survival_is_sound_on_the_page(cat, window):
                 assert run.monomial_alive(m), f"{display(m)} certified but dead on page {r}"
             assert len(certified) >= 30, r
         turn_page(run, resolve_page(run, r), r)
+
+
+def test_closed_forms_agree_with_the_seeds(cat):
+    # tau_power_d and pure_gamma_d restate the seeded tau-power rules and their
+    # gamma companions; pure-gamma sources of the seeds have j = r
+    checked = {Cone.POSITIVE: 0, Cone.GAMMA: 0}
+    for rule in seed_rules(cat):
+        src = rule.instance(cat, rule.k_min).source
+        if src.h0 or src.h1 or src.family or src.cone is Cone.Q:
+            continue
+        if src.cone is Cone.POSITIVE and src.rho:
+            continue
+        checked[src.cone] += 1
+        for k in range(20):
+            inst = rule.instance(cat, k)
+            m, r = inst.source, inst.page
+            if m.cone is Cone.POSITIVE:
+                got = tau_power_d(cat, m.tau, r)
+            else:
+                assert m.rho == r, rule.label
+                got = pure_gamma_d(cat, m.rho, m.tau, r)
+            assert got == inst.target, f"{rule.label} at k = {k}"
+    assert checked == {Cone.POSITIVE: 3, Cone.GAMMA: 3}
+    # on page 3 a pure gamma class has nothing to hit
+    run = fresh_run(cat, Window(max_stem=24, min_coweight=-6), seed_rules(cat))
+    for j in range(3, 30):
+        for i in range(1, 40):
+            assert not run.index.targets(make_gamma(cat, j, i), 3), (j, i)
+
+
+@pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
+                         ids=["cw-2..1", "cw-6..1"])
+def test_tau_step_survival_is_sound_on_the_page(cat, window):
+    # the gamma factorization takes gamma/(rho^j tau^n), j >= r, alive on page
+    # r exactly when TAU_STEP[r] divides n; every stored pure class must agree
+    run = fresh_run(cat, window, seed_rules(cat))
+    live = dead = 0
+    for r in (1, 2, 3):
+        if r > 1:
+            for st in run.states.values():
+                for m in st.basis:
+                    if m.cone is not Cone.GAMMA or m.rho < r or m.h0 or m.h1 or m.family:
+                        continue
+                    alive = run.monomial_alive(m)
+                    assert alive == (m.tau % TAU_STEP[r] == 0), f"{display(m)} on page {r}"
+                    live += alive
+                    dead += not alive
+        turn_page(run, resolve_page(run, r), r)
+    assert live and dead
 
 
 def test_rule_override_changes_outcome(cat):
