@@ -13,10 +13,12 @@ resolved from, in order: seeded rules, filtration or empty-target vanishing,
 the positive-cone factorization oracle, the factorization of a gamma class
 through one pure-gamma divisor, annihilator relations (differentiating
 tau^n * x = 0 and solving), h0/h1 Leibniz transfer and rho-tower transfer;
-pages past 3 use only rules, vanishing and transfer. The seeded tau-power
-rules are also stated in closed form: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3)
-divides the tau exponent of every tau power and pure gamma class alive on
-page r, and ``tau_power_d`` and ``pure_gamma_d`` give their d_r.
+pages past 3 use only rules, vanishing and transfer. The tau-power
+differentials and their gamma companions are closed forms, not rules:
+``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of every tau
+power and pure gamma class alive on page r, and ``tau_power_d`` and
+``pure_gamma_d`` give their d_r; ``index_rules`` refuses a rule that
+contradicts them.
 ``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
 run only on pages r <= 3 and only for gamma classes with rho >= r (any other
 has no target), and each gamma class is tried at one tau exponent n, the
@@ -29,10 +31,10 @@ RREF row lists, with its page representatives cached until the rows change.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 ``E1Index.targets(m, r)`` is the one answer to "which classes can d_r(m)
 hit". Anything still unresolved falls under the engine's declared closure
-assumption -- no differentials beyond the seeded ones and their closure --
-and is assigned zero with a log entry; the structural checks and the census
-validate the assumption, while conflicting derivations raise instead of
-guessing.
+assumption -- no differentials beyond the seeded rules, the closed forms and
+their closure -- and is assigned zero with a log entry; the structural checks
+and the census validate the assumption, while conflicting derivations raise
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chai
     )
 
 
-# --- the seeded tau-power differentials in closed form --------------------------
+# --- the tau-power differentials in closed form ---------------------------------
 
 
 #: on page r <= 3, tau^b and gamma/(rho^j tau^b) (j >= r) are alive exactly when
@@ -150,6 +152,18 @@ def pure_gamma_d(cat: Catalog, j: int, i: int, r: int) -> Optional[MonomialClass
     return None
 
 
+def _closed_form_d(cat: Catalog, m: MonomialClass, r: int):
+    """d_r(m) by the closed forms when m is a tau power, or gamma/(rho^j tau^i)
+    with j >= r alive on page r <= 3 (None = zero); _UNKNOWN for any other m."""
+    if m.h0 or m.h1 or m.family or not 1 <= r <= 3:
+        return _UNKNOWN
+    if m.cone is Cone.POSITIVE and not m.rho:
+        return tau_power_d(cat, m.tau, r)
+    if m.cone is Cone.GAMMA and m.rho >= r and m.tau % TAU_STEP[r] == 0:
+        return pure_gamma_d(cat, m.rho, m.tau, r)
+    return _UNKNOWN
+
+
 # --- positive-cone oracle -------------------------------------------------------
 
 
@@ -161,15 +175,15 @@ class PositiveOracle:
     """Symbolic page differentials and survival for positive-cone monomials.
 
     Valid on pages 1..3 (the globally-run pages). The knowledge atoms are the
-    tau-power rules in closed form (the module's ``tau_power_d``), exact
+    tau-power differentials in closed form (the module's ``tau_power_d``), exact
     matches in the run's rule index modulo tau^4 and rho factors, the
     declared permanent cycles, and empty-target vanishing; composite values
     follow by the Leibniz rule over the factorization rho^a tau^b z. Only
-    family classes are looked up in the rule index, so tau-power sources
-    never reach it. ``alive`` is asked
-    only about rho-free classes, which no d_q can hit (a positive d_q raises
-    the rho-exponent by q), so such a class survives to page r exactly when
-    every d_q(m), q < r, is known zero.
+    family classes are looked up in the rule index; a tau power is read from
+    the closed form alone. ``alive`` is asked only about rho-free classes,
+    which no d_q can hit (a positive d_q raises the rho-exponent by q), so
+    such a class survives to page r exactly when every d_q(m), q < r, is
+    known zero.
     """
 
     def __init__(self, cat: Catalog, rule_instances: RuleIndex, index: E1Index):
@@ -717,14 +731,17 @@ def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule])
     One ``instances_in`` pass per rule. Sources outside the window are kept:
     the positive oracle reads them through rho and tau^4 factors. Two rules
     that give the same source different targets on one page raise
-    ``ConflictError``, wherever that source lies.
+    ``ConflictError``, wherever that source lies, and so does a rule that
+    contradicts the closed forms (``_closed_form_d``).
     """
     by_page: RuleIndex = {}
     for rule in rules:
         for inst in rule.instances_in(cat, window):
             page = by_page.setdefault(inst.page, {})
             old = page.get(inst.source)
-            if old is not None and old.target != inst.target:
+            closed = _closed_form_d(cat, inst.source, inst.page)
+            if (old is not None and old.target != inst.target
+                    or closed is not _UNKNOWN and closed != inst.target):
                 raise ConflictError(
                     f"two rules disagree on {display(inst.source)} at page {inst.page}"
                 )

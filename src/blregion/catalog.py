@@ -124,11 +124,12 @@ def _parse_height(text: str, what: str, line_no: int) -> int:
         raise CatalogError(f"line {line_no}: bad {what} {text!r}") from None
 
 
-# Degree formulas of the seeded differential families, used as load-time
-# consistency checks. Each entry: (element expression, first k, affine degree
-# in k, builder) where the builder recomputes the element's degree from
-# catalog data. Checked for four k from the first (0, or 1 where the formula
-# starts at k = 1).
+# Degree formulas of the sources of the seeded family and Q-tower rules and of
+# the eight coweight-1 differential families, used as load-time consistency
+# checks; each row reads at least one family row of the catalog. Each entry:
+# (element expression, first k, affine degree in k, builder) where the builder
+# recomputes the element's degree from catalog data. Checked for four k from
+# the first (0, or 1 where the formula starts at k = 1).
 def _consistency_rows(cat: Catalog):
     g = cat.gamma_degree
 
@@ -141,12 +142,6 @@ def _consistency_rows(cat: Catalog):
     h0, h1 = cat.symbols["h_0"], cat.symbols["h_1"]
 
     return [
-        ("gamma/(rho tau^{2k+1})", 0,
-         lambda k: TriDegree(1, 0, 2 * k + 3),
-         lambda k: g(1, 2 * k + 1)),
-        ("gamma/(rho^2 tau^{4k+2})", 0,
-         lambda k: TriDegree(2, 0, 4 * k + 5),
-         lambda k: g(2, 4 * k + 2)),
         ("tau^3 P^k h_0^3 h_3", 0,
          lambda k: TriDegree(8 * k + 7, 4 * k + 4, 4 * k + 1),
          lambda k: tau_deg.scale(3) + fam("P^k h_0 h_3", k) + h0.scale(2)),
@@ -242,7 +237,10 @@ def load_catalog(path=None) -> Catalog:
         )
     else:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CatalogError(f"{path}: not UTF-8 ({exc.reason})") from None
     symbols: Dict[str, TriDegree] = {}
     families: Dict[str, GeneratorFamily] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

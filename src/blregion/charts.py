@@ -57,7 +57,6 @@ class ChartDocument:
     dots: List[Dot] = field(default_factory=list)
     lines: List[Line] = field(default_factory=list)
     arrows: List[Arrow] = field(default_factory=list)
-    shade_boundary: bool = True
 
     def sorted_parts(self):
         return (
@@ -211,14 +210,13 @@ def _svg(doc: ChartDocument) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
     ]
-    if doc.shade_boundary:
-        x0, y0 = px(0), py(-0.5)
-        x1 = px(doc.x_max + 0.5)
-        y1 = py(doc.x_max / 2.0 - 1.0 + 0.25)
-        out.append(
-            f'<polygon points="{x0:.1f},{y0:.1f} {x1:.1f},{y1:.1f} {x1:.1f},{y0:.1f}" '
-            'fill="#dddddd" stroke="none"/>\n'
-        )
+    x0, y0 = px(0), py(-0.5)
+    x1 = px(doc.x_max + 0.5)
+    y1 = py(doc.x_max / 2.0 - 1.0 + 0.25)
+    out.append(
+        f'<polygon points="{x0:.1f},{y0:.1f} {x1:.1f},{y1:.1f} {x1:.1f},{y0:.1f}" '
+        'fill="#dddddd" stroke="none"/>\n'
+    )
     for t in range(0, doc.x_max + 1, 2):
         out.append(
             f'<line x1="{px(t):.1f}" y1="{py(0):.1f}" x2="{px(t):.1f}" '
@@ -291,15 +289,13 @@ _TIKZ_PREAMBLE = r"""% Minimal preamble for this fragment:
 
 
 def _tikz(doc: ChartDocument) -> bytes:
-    out = [_TIKZ_PREAMBLE, "\\begin{tikzpicture}[scale=0.5]\n"]
-    if doc.shade_boundary:
-        out.append(
-            f"\\fill[black!12] (0,-0.5) -- ({doc.x_max + 0.5},"
-            f"{doc.x_max / 2.0 - 0.75:.2f}) -- ({doc.x_max + 0.5},-0.5) -- cycle;\n"
-        )
-    out.append(
-        f"\\draw[gray!40, very thin] (0,0) grid[step=2] ({doc.x_max},{doc.y_max});\n"
-    )
+    out = [
+        _TIKZ_PREAMBLE,
+        "\\begin{tikzpicture}[scale=0.5]\n",
+        f"\\fill[black!12] (0,-0.5) -- ({doc.x_max + 0.5},"
+        f"{doc.x_max / 2.0 - 0.75:.2f}) -- ({doc.x_max + 0.5},-0.5) -- cycle;\n",
+        f"\\draw[gray!40, very thin] (0,0) grid[step=2] ({doc.x_max},{doc.y_max});\n",
+    ]
     dots, lines, arrows = doc.sorted_parts()
     style = {"rho": "red", "h0": "black", "h1": "green!60!black", "hidden": "red, dashed"}
     for ln in lines:

@@ -95,7 +95,9 @@ class Window:
         )
 
     def near_boundary(self, d: TriDegree, reach: int) -> bool:
-        """True if d sits in the padding or within `reach` of the stored edge."""
+        """True if d lies below ``min_stem``, within `reach` stems of the
+        asserted top stem ``max_stem``, within `reach` of ``max_f``, or outside
+        the asserted coweights (the coweight padding counts as boundary)."""
         return not (
             self.min_stem <= d.s <= self.max_stem - reach
             and d.f + reach <= self.max_f

@@ -1,8 +1,9 @@
 """Seeded differential rules and the monomial/rule expression syntax.
 
-The seeds are the tau-power differentials together with their negative-cone
-companions, the two page-3 differentials off the tau^3-prefixed edge
-families, and the two Q-tower differentials. Everything else the engine
+The seeds are the two page-3 differentials off the tau^3-prefixed edge
+families and the two Q-tower differentials. The tau-power differentials and
+their negative-cone companions are not rules: ``bockstein`` states them in
+closed form (``tau_power_d``, ``pure_gamma_d``). Everything else the engine
 knows is closure: Leibniz products, rho-tower transfer and annihilator
 solving. Rules can also be read from an override file (one per line,
 ``page | source | target | k_range``) so tests can mutate the rule set.
@@ -63,56 +64,11 @@ class DifferentialRule:
 
 
 def seed_rules(cat: Catalog) -> List[DifferentialRule]:
-    """The seeded rule list; every other differential is inferred closure."""
-
-    def tau_pow(k_to_exp, page, k_to_target, label):
-        return DifferentialRule(
-            label=label,
-            k_min=0,
-            page_of=lambda k: page,
-            source_of=lambda c, k: make_positive(c, tau=k_to_exp(k)),
-            target_of=k_to_target,
-        )
-
-    rules = [
-        # tau-power differentials in the positive cone
-        tau_pow(
-            lambda k: 2 * k + 1, 1,
-            lambda c, k: make_positive(c, rho=1, tau=2 * k, h0=1),
-            "d1 tau^{2k+1} -> rho tau^{2k} h_0",
-        ),
-        tau_pow(
-            lambda k: 4 * k + 2, 2,
-            lambda c, k: make_positive(c, rho=2, tau=4 * k + 1, h1=1),
-            "d2 tau^{4k+2} -> rho^2 tau^{4k+1} h_1",
-        ),
-        tau_pow(
-            lambda k: 4 * k + 4, 3,
-            lambda c, k: None,
-            "d3 tau^{4k+4} -> 0",
-        ),
-        # their negative-cone companions
-        DifferentialRule(
-            label="d1 gamma/(rho tau^{2k+1}) -> gamma/tau^{2k+2} h_0",
-            k_min=0,
-            page_of=lambda k: 1,
-            source_of=lambda c, k: make_gamma(c, 1, 2 * k + 1),
-            target_of=lambda c, k: make_gamma(c, 0, 2 * k + 2, h0=1),
-        ),
-        DifferentialRule(
-            label="d2 gamma/(rho^2 tau^{4k+2}) -> gamma/tau^{4k+3} h_1",
-            k_min=0,
-            page_of=lambda k: 2,
-            source_of=lambda c, k: make_gamma(c, 2, 4 * k + 2),
-            target_of=lambda c, k: make_gamma(c, 0, 4 * k + 3, h1=1),
-        ),
-        DifferentialRule(
-            label="d3 gamma/(rho^3 tau^{4k+4}) -> 0",
-            k_min=0,
-            page_of=lambda k: 3,
-            source_of=lambda c, k: make_gamma(c, 3, 4 * k + 4),
-            target_of=lambda c, k: None,
-        ),
+    """The seeded rule list: the two page-3 edge-family rules and the two
+    Q-tower rules. The tau-power differentials and their gamma companions
+    are stated once, in closed form, in ``bockstein``; every other
+    differential is inferred closure."""
+    return [
         # page-3 differentials off the tau^3-prefixed edge families
         DifferentialRule(
             label="d3 tau^3 P^k h_0^3 h_3 -> rho^3 tau P^{k+1} h_1",
@@ -144,7 +100,6 @@ def seed_rules(cat: Catalog) -> List[DifferentialRule]:
             target_of=lambda c, k: make_gamma(c, 0, 4 * k, family="P^k h_1", k=k),
         ),
     ]
-    return rules
 
 
 # --- monomial and rule expression parsing (override files, tests) ---------------
@@ -290,15 +245,18 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
 
 def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
     """Read an override file; every rule is evaluated at its ``k_min`` here, so
-    a malformed page, source or target, or a target outside the source's
-    degree plus ``DIFFERENTIAL_SHIFT``, raises ValueError at load time."""
+    a malformed page, a page below 1, a malformed source or target, or a
+    target outside the source's degree plus ``DIFFERENTIAL_SHIFT``, raises
+    ValueError at load time. The page never falls as k grows, because an
+    exponent expression has no negative coefficient of k."""
     rules = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
                 rule = parse_rule_line(cat, line)
-                rule.page_of(rule.k_min)
+                if rule.page_of(rule.k_min) < 1:
+                    raise ValueError(f"page below 1 in rule line {line!r}")
                 source = rule.source_of(cat, rule.k_min)
                 target = rule.target_of(cat, rule.k_min)
                 if source is not None and target is not None:

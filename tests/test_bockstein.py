@@ -361,27 +361,33 @@ def test_positive_oracle_survival_is_sound_on_the_page(cat, window):
         turn_page(run, resolve_page(run, r), r)
 
 
+# The six differentials that seed the computation, frozen: (page, source,
+# target, source degree). tau_power_d and pure_gamma_d are their only
+# statement in the engine.
+SEED_DIFFERENTIALS = [
+    (1, "tau^{2k+1}", "rho tau^{2k} h_0", lambda k: TriDegree(0, 0, -(2 * k + 1))),
+    (2, "tau^{4k+2}", "rho^2 tau^{4k+1} h_1", lambda k: TriDegree(0, 0, -(4 * k + 2))),
+    (3, "tau^{4k+4}", "0", lambda k: TriDegree(0, 0, -(4 * k + 4))),
+    (1, "gamma/(rho tau^{2k+1})", "gamma/tau^{2k+2} h_0", lambda k: TriDegree(1, 0, 2 * k + 3)),
+    (2, "gamma/(rho^2 tau^{4k+2})", "gamma/tau^{4k+3} h_1",
+     lambda k: TriDegree(2, 0, 4 * k + 5)),
+    (3, "gamma/(rho^3 tau^{4k+4})", "0", lambda k: TriDegree(3, 0, 4 * k + 8)),
+]
+
+
 def test_closed_forms_agree_with_the_seeds(cat):
-    # tau_power_d and pure_gamma_d restate the seeded tau-power rules and their
-    # gamma companions; pure-gamma sources of the seeds have j = r
-    checked = {Cone.POSITIVE: 0, Cone.GAMMA: 0}
-    for rule in seed_rules(cat):
-        src = rule.instance(cat, rule.k_min).source
-        if src.h0 or src.h1 or src.family or src.cone is Cone.Q:
-            continue
-        if src.cone is Cone.POSITIVE and src.rho:
-            continue
-        checked[src.cone] += 1
+    for r, source, target, deg_of in SEED_DIFFERENTIALS:
         for k in range(20):
-            inst = rule.instance(cat, k)
-            m, r = inst.source, inst.page
+            m, want = parse_monomial(cat, source, k), parse_monomial(cat, target, k)
+            assert degree_of(cat, m) == deg_of(k), (source, k)
+            if want is not None:
+                assert degree_of(cat, want) == deg_of(k) + DIFFERENTIAL_SHIFT
+                assert want.filtration() - m.filtration() == r  # the jump is the page
             if m.cone is Cone.POSITIVE:
                 got = tau_power_d(cat, m.tau, r)
             else:
-                assert m.rho == r, rule.label
                 got = pure_gamma_d(cat, m.rho, m.tau, r)
-            assert got == inst.target, f"{rule.label} at k = {k}"
-    assert checked == {Cone.POSITIVE: 3, Cone.GAMMA: 3}
+            assert got == want, f"d{r} {source} at k = {k}"
     # on page 3 a pure gamma class has nothing to hit
     run = fresh_run(cat, Window(max_stem=24, min_coweight=-6), seed_rules(cat))
     for j in range(3, 30):

@@ -117,6 +117,15 @@ def test_broken_catalog_is_constraint_error(tmp_path):
     assert "h_0 h_3" in r.stderr  # names the violated row
 
 
+def test_catalog_not_utf8_is_constraint_error(tmp_path):
+    bad = tmp_path / "cat.txt"
+    bad.write_bytes(b"\xff\xfe")
+    r = run_cli("--catalog", str(bad), "--max-stem", "8")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("catalog error: ") and str(bad) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def _shipped_catalog():
     from importlib import resources
 
@@ -161,7 +170,9 @@ def test_rules_override_flag(tmp_path):
     "3 | nosuch_symbol | 0 | 1..1",  # must fail at load, not inside the run
     "3 | tau^{4k+4} | 0 | 2..1",
     "1 | h_1 | rho h_0 | 0..0",  # target outside deg(h_1) + (-1,1,0)
-], ids=["unknown-symbol", "empty-k-range", "target-off-degree"])
+    "0 | tau | rho h_0 | 0..0",
+    "-1 | tau | rho h_0 | 0..0",
+], ids=["unknown-symbol", "empty-k-range", "target-off-degree", "page-zero", "page-negative"])
 def test_bad_rules_override_is_usage_error(tmp_path, line):
     rules = tmp_path / "rules.txt"
     rules.write_text(line + "\n")
@@ -191,6 +202,21 @@ def test_override_against_seed_outside_window_is_engine_error(tmp_path):
     r = run_cli("--max-stem", "24", "--rules-override", str(rules))
     assert r.returncode == 3, r.stderr
     assert "two rules disagree" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("line, named", [
+    ("1 | tau^{2k+1} | 0 | 0..3", "tau at page 1"),
+    ("2 | gamma/(rho^2 tau^{4k+2}) | 0 | 0..2", "gamma/(rho^2 tau^2) at page 2"),
+], ids=["tau-power", "pure-gamma"])
+def test_override_against_closed_form_is_engine_error(tmp_path, line, named):
+    # the tau-power differentials are closed forms, not rules; an override
+    # that contradicts them is a conflict, as one against a seeded rule is
+    rules = tmp_path / "rules.txt"
+    rules.write_text(line + "\n")
+    r = run_cli("--max-stem", "8", "--rules-override", str(rules))
+    assert r.returncode == 3, r.stderr
+    assert f"two rules disagree on {named}" in r.stderr
     assert "Traceback" not in r.stderr
 
 

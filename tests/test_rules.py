@@ -10,14 +10,9 @@ from blregion.rules import (
 )
 
 # Degree formulas of the seeded differential sources, frozen. Each entry:
-# (label fragment, page at k, source degree at k, k_min).
+# (label fragment, page at k, source degree at k, k_min). The tau-power
+# differentials are closed forms, frozen in test_bockstein.
 SEED_DEGREES = [
-    ("d1 tau^{2k+1}", lambda k: 1, lambda k: TriDegree(0, 0, -(2 * k + 1)), 0),
-    ("d2 tau^{4k+2}", lambda k: 2, lambda k: TriDegree(0, 0, -(4 * k + 2)), 0),
-    ("d3 tau^{4k+4}", lambda k: 3, lambda k: TriDegree(0, 0, -(4 * k + 4)), 0),
-    ("d1 gamma/(rho tau^{2k+1})", lambda k: 1, lambda k: TriDegree(1, 0, 2 * k + 3), 0),
-    ("d2 gamma/(rho^2 tau^{4k+2})", lambda k: 2, lambda k: TriDegree(2, 0, 4 * k + 5), 0),
-    ("d3 gamma/(rho^3 tau^{4k+4})", lambda k: 3, lambda k: TriDegree(3, 0, 4 * k + 8), 0),
     ("d3 tau^3 P^k h_0^3 h_3", lambda k: 3,
      lambda k: TriDegree(8 * k + 7, 4 * k + 4, 4 * k + 1), 0),
     ("d3 tau^3 P^k h_1 c_0", lambda k: 3,
@@ -54,8 +49,6 @@ def test_specific_rule_values(cat):
     inst = rules["d3 tau^3 P^k h_0^3 h_3"].instance(cat, 0)
     assert degree_of(cat, inst.source) == TriDegree(7, 4, 1)
     assert inst.target == make_positive(cat, rho=3, tau=1, family="P^k h_1", k=1)
-    inst = rules["d3 gamma/(rho^3 tau^{4k+4})"].instance(cat, 0)
-    assert inst.target is None
     inst = rules["d{4k-1} Q/rho^{4k-1} h_1^{4k}"].instance(cat, 1)
     assert inst.page == 3
     assert inst.source == make_q(cat, 3, "h_1^{4+k}", 0)
@@ -113,6 +106,7 @@ def test_one_rule_index_sets_the_schedule(cat, run10):
     }
     assert run10.schedule == sorted({1, 2, 3} | stored_pages)
     # the index keeps instances whose source lies outside the window
-    tau3 = make_positive(cat, tau=3)
-    assert not run10.window.stores(degree_of(cat, tau3))
-    assert run10.rule_instances[1][tau3].target == make_positive(cat, rho=1, tau=2, h0=1)
+    src = make_positive(cat, tau=3, h0=2, family="P^k h_0 h_3", k=1)
+    assert degree_of(cat, src).s == 15 > run10.window.stored_max_stem
+    assert run10.rule_instances[3][src].target == make_positive(
+        cat, rho=3, tau=1, family="P^k h_1", k=2)
