@@ -11,12 +11,12 @@ turn touches only the degrees a nonzero d_r leaves or enters, so its work
 follows the differentials rather than the window. A page differential is
 resolved from, in order: seeded rules, filtration or empty-target vanishing,
 the positive-cone factorization oracle, the factorization of a gamma class
-through one pure-gamma divisor, annihilator relations (differentiating
-tau^n * x = 0 and solving), h0/h1 Leibniz transfer and rho-tower transfer;
-pages past 3 use only rules, vanishing and transfer. The tau-power
-differentials and their gamma companions are closed forms, not rules:
-``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of every tau
-power and pure gamma class alive on page r, and ``tau_power_d`` and
+through one pure-gamma divisor, dead-target vanishing (every cycle its
+candidate targets span is already a boundary), h0/h1 Leibniz transfer and
+rho-tower transfer; pages past 3 use only rules, vanishing and transfer.
+The tau-power differentials and their gamma companions are closed forms, not
+rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
+every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
 ``pure_gamma_d`` give their d_r; ``index_rules`` refuses a rule that
 contradicts them.
 ``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
@@ -30,11 +30,11 @@ and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives cached until the rows change.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 ``E1Index.targets(m, r)`` is the one answer to "which classes can d_r(m)
-hit". Anything still unresolved falls under the engine's declared closure
-assumption -- no differentials beyond the seeded rules, the closed forms and
-their closure -- and is assigned zero with a log entry; the structural checks
-and the census validate the assumption, while conflicting derivations raise
-instead of guessing.
+hit". Anything still unresolved, with a live target, falls under the
+engine's declared closure assumption -- no differentials beyond the seeded
+rules, the closed forms and their closure -- and is assigned zero with a log
+entry; the structural checks and the census validate the assumption, while
+conflicting derivations raise instead of guessing.
 """
 
 from __future__ import annotations
@@ -294,6 +294,19 @@ class DegreeState:
     def reduce_mod_boundaries(self, v: int) -> int:
         return gf2.reduce(v, self.boundaries)
 
+    def sums_are_boundaries(self, monos: Sequence[MonomialClass],
+                            kernel: Iterable[int]) -> bool:
+        """Whether each kernel vector, read as the sum of the ``monos`` its
+        bits select, is a boundary."""
+        for kv in kernel:
+            lifted = 0
+            for t, mono in enumerate(monos):
+                if (kv >> t) & 1:
+                    lifted ^= self.vector(mono)
+            if self.reduce_mod_boundaries(lifted):
+                return False
+        return True
+
     def monomial_alive(self, m: MonomialClass) -> bool:
         if m not in self.basis:
             return False
@@ -391,9 +404,9 @@ class PageResolver:
         n is the first multiple of ``TAU_STEP[r]`` at or above i, the least
         n with gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
         m = tau^(n-i) x * gamma/(rho^j tau^n) gives d_r(m) when the positive
-        oracle knows the first factor alive and its d_r; otherwise the
-        annihilator solve differentiates tau^n * m = 0. No larger n is
-        tried: the oracle's verdict on tau^b z for q < r depends on b only
+        oracle knows the first factor alive and its d_r; otherwise d_r(m) is
+        _UNKNOWN and left to dead-target vanishing and transfer. No larger n
+        is tried: the oracle's verdict on tau^b z for q < r depends on b only
         modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``.
         """
         cat, oracle, r = self.run.cat, self.run.oracle, self.r
@@ -409,77 +422,23 @@ class PageResolver:
                 if dG is not None:
                     terms.append(multiply(cat, y, dG))
                 return self._chain(terms)
-        return self._annihilator_solve(m, n)
+        return _UNKNOWN
 
-    def _annihilator_solve(self, src: MonomialClass, n: int):
-        """Solve for d_r(src) by differentiating tau^n * src = 0.
+    def dead_target(self, m: MonomialClass) -> bool:
+        """Whether d_r(m) must vanish: every cycle in the span of its candidate
+        targets is a boundary on page r.
 
-        ``src`` is a gamma class with rho >= r on a page r <= 3, and n (from
-        ``_resolve_gamma``) makes tau^n alive on page r, so d_r(tau^n) is known
-        and has no family factor. The relation lives on the page: a nonzero
-        right-hand side outside the window declines, and one dead on the page
-        reads zero. Candidates dead on the page are dropped.
-
-        Returns a Chain, or _UNKNOWN when the solve is only consistent modulo
-        boundary slack or the kernel of tau^n-multiplication leaves more than
-        one possibility after the h0/h1 annihilation filters.
+        The test runs on the span, not monomial by monomial, because a sum of
+        dead monomials can be a live class. A target degree with no stored
+        page is never dead (an empty stored one is ``_resolve_raw``'s zero).
         """
-        cat, r = self.run.cat, self.r
-        dt = tau_power_d(cat, n, r)
-        rhs = multiply(cat, dt, src) if dt is not None else None
-        if rhs is not None:
-            status = self._page_alive(rhs)
-            if status is None:
-                return _UNKNOWN  # cannot place the relation on the page
-            if status is False:
-                rhs = None  # dead on the page: the relation reads zero
-
-        candidates = [c for c in self.run.index.targets(src, r)
-                      if self._page_alive(c) is not False]
-        if not candidates:
-            if rhs is not None:
-                raise ConflictError(
-                    f"tau-relation for {display(src)} on page {r} has no solution"
-                )
-            return ZERO
-
-        # Linear system: unknown d(src) = sum of candidates with (1) tau^n * d(src)
-        # equal to d(tau^n) * src and (2) u * d(src) = 0 whenever u * src = 0.
-        blocks: List[List[Optional[MonomialClass]]] = []
-        tau_n = make_positive(cat, tau=n)
-        blocks.append([multiply(cat, tau_n, c) for c in candidates])
-        for u in ("h_0", "h_1"):
-            if module_action(cat, u, src) is None:
-                blocks.append([module_action(cat, u, c) for c in candidates])
-
-        col_index: Dict[Tuple[int, MonomialClass], int] = {}
-        for b_i, images in enumerate(blocks):
-            for im in images:
-                if im is not None and (b_i, im) not in col_index:
-                    col_index[(b_i, im)] = len(col_index)
-        if rhs is not None and (0, rhs) not in col_index:
-            return _UNKNOWN  # only solvable modulo boundary slack: decline
-        columns = []
-        for c_i in range(len(candidates)):
-            v = 0
-            for b_i, images in enumerate(blocks):
-                im = images[c_i]
-                if im is not None:
-                    v |= 1 << col_index[(b_i, im)]
-            columns.append(v)
-        rhs_vec = (1 << col_index[(0, rhs)]) if rhs is not None else 0
-
-        sol, kernel = gf2.solve(columns, rhs_vec)
-        if sol is None:
-            return _UNKNOWN  # solvable only up to boundary slack: decline
-        if kernel:
-            return _UNKNOWN  # under-determined: leave to other mechanisms
-        return self._chain(candidates[t] for t in range(len(candidates)) if (sol >> t) & 1)
-
-    def _page_alive(self, m: MonomialClass):
-        """True/False page survival for stored monomials, None outside."""
         run = self.run
-        return run.monomial_alive(m) if run.window.stores(degree_of(run.cat, m)) else None
+        st = run.states.get(degree_of(run.cat, m) + DIFFERENTIAL_SHIFT)
+        if st is None:
+            return False
+        candidates = run.index.targets(m, self.r)
+        _, kernel = gf2.solve([gf2.reduce(st.vector(c), st.cycles) for c in candidates], 0)
+        return st.sums_are_boundaries(candidates, kernel)
 
     # --- transfer passes (use neighbors' resolved values) ------------------------
 
@@ -562,13 +521,8 @@ class PageResolver:
             raise ConflictError(
                 f"rho-tower transfer inconsistent at {display(m)} page {r}"
             )
-        for kv in kernel:
-            lifted = 0
-            for c_i in range(len(candidates)):
-                if (kv >> c_i) & 1:
-                    lifted ^= t_state.vector(candidates[c_i])
-            if t_state.reduce_mod_boundaries(lifted):
-                return _UNKNOWN  # genuinely ambiguous in the page
+        if not t_state.sums_are_boundaries(candidates, kernel):
+            return _UNKNOWN  # genuinely ambiguous in the page
         picked = [candidates[c_i] for c_i in range(len(candidates)) if (sol >> c_i) & 1]
         return self._chain(picked)
 
@@ -591,6 +545,8 @@ def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
     order = _resolution_order(needed)  # each class once, before any transfer
     for m in order:
         val = resolver._resolve_raw(m)
+        if val is _UNKNOWN and resolver.dead_target(m):
+            val = ZERO
         if val is not _UNKNOWN:
             resolver.values[m] = val
     while resolver.transfer_pass(order):

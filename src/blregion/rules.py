@@ -4,8 +4,8 @@ The seeds are the two page-3 differentials off the tau^3-prefixed edge
 families and the two Q-tower differentials. The tau-power differentials and
 their negative-cone companions are not rules: ``bockstein`` states them in
 closed form (``tau_power_d``, ``pure_gamma_d``). Everything else the engine
-knows is closure: Leibniz products, rho-tower transfer and annihilator
-solving. Rules can also be read from an override file (one per line,
+knows is closure: Leibniz products, rho-tower transfer and dead-target
+vanishing. Rules can also be read from an override file (one per line,
 ``page | source | target | k_range``) so tests can mutate the rule set.
 """
 
@@ -245,10 +245,12 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
 
 def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
     """Read an override file; every rule is evaluated at its ``k_min`` here, so
-    a malformed page, a page below 1, a malformed source or target, or a
-    target outside the source's degree plus ``DIFFERENTIAL_SHIFT``, raises
-    ValueError at load time. The page never falls as k grows, because an
-    exponent expression has no negative coefficient of k."""
+    a malformed page, a page below 1, a malformed or zero source, a malformed
+    target, or a target outside the source's degree plus
+    ``DIFFERENTIAL_SHIFT``, raises ValueError at load time. A zero source
+    would end ``instances_in`` at once and drop the rule unseen. The page
+    never falls as k grows, because an exponent expression has no negative
+    coefficient of k."""
     rules = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -258,8 +260,10 @@ def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
                 if rule.page_of(rule.k_min) < 1:
                     raise ValueError(f"page below 1 in rule line {line!r}")
                 source = rule.source_of(cat, rule.k_min)
+                if source is None:
+                    raise ValueError(f"source is zero at k = {rule.k_min} in rule line {line!r}")
                 target = rule.target_of(cat, rule.k_min)
-                if source is not None and target is not None:
+                if target is not None:
                     want = degree_of(cat, source) + DIFFERENTIAL_SHIFT
                     got = degree_of(cat, target)
                     if got != want:

@@ -1,5 +1,7 @@
 """Engine tests: closure golden values, page turning, census, constraints."""
 
+from dataclasses import replace
+
 import pytest
 
 from blregion import gf2
@@ -8,6 +10,7 @@ from blregion.bockstein import (
     ZERO,
     BocksteinRun,
     DegreeState,
+    PageResolver,
     census_report,
     check_structural_constraints,
     expected_census_dimension,
@@ -17,6 +20,7 @@ from blregion.bockstein import (
     tau_power_d,
     turn_page,
 )
+from blregion.catalog import Catalog
 from blregion.cones import build_e1
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from blregion.monomials import (Cone, degree_of, display, make_gamma, make_positive,
@@ -484,12 +488,51 @@ def test_leibniz_soundness_on_permanent_multipliers(cat, run24):
     assert checked > 30
 
 
-def test_assumption_log_is_reported(run24):
+@pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
+                         ids=["cw-2..1", "cw-6..1"])
+def test_logged_assumptions_have_live_targets(cat, window):
+    # a differential assigned zero under the closure assumption has a live
+    # target on its page: a dead-target zero is forced and stays off the log
+    logged_by_page = {}
+    for run, r, diffs in _pages(cat, window):
+        by_name = {display(m): m for m in diffs}
+        logged = [by_name[name] for page, name in run.assumptions.entries if page == r]
+        resolver = PageResolver(run, r)
+        for m in logged:
+            assert not resolver.dead_target(m), f"{display(m)} logged on page {r}"
+        logged_by_page[r] = len(logged)
+        turn_page(run, diffs, r)
+    assert all(logged_by_page[r] for r in (2, 3, 7)), logged_by_page
     # the closure assumption is visible, never silent
-    assert isinstance(run24.assumptions.entries, list)
-    rep = census_report(run24)
-    if run24.assumptions.entries:
-        assert any("closure assumption" in n for n in rep.notes)
+    count = len(run.assumptions.entries)
+    assert count == sum(logged_by_page.values())
+    assert any(n.startswith(f"{count} differentials assigned zero under the closure assumption")
+               for n in census_report(run).notes)
+
+
+def test_dead_target_reads_the_span_not_each_monomial(cat):
+    # Through stem 24 no d_r of the catalog has two candidate targets, so
+    # the catalog gets a twin of h_0 h_2: a family y in its degree. Then
+    # d_1(tau h_2) can hit rho h_0 h_2 and rho y.
+    h0_h2 = degree_of(cat, make_positive(cat, h0=1, family="P^k h_2"))
+    y = replace(cat.families["P^k h_2"], name="y", base=h0_h2, h0_height=0)
+    twin = Catalog(cat.symbols, {**cat.families, "y": y})
+    run = fresh_run(twin, Window(max_stem=6), seed_rules(twin))
+    src = make_positive(twin, tau=1, family="P^k h_2")
+    st = run.states[degree_of(twin, src) + DIFFERENTIAL_SHIFT]
+    c1, c2 = run.index.targets(src, 1)
+    both = st.vector(c1) | st.vector(c2)
+    others = [st.vector(m) for m in st.basis if m not in (c1, c2)]
+    resolver = PageResolver(run, 1)
+    # each candidate is dead (not a cycle) but their sum is a live class
+    st.set_rows(gf2.rref(others + [both]), [])
+    assert not st.monomial_alive(c1) and not st.monomial_alive(c2)
+    assert not resolver.dead_target(src)
+    # with the sum a boundary every cycle of the span is dead; the other
+    # classes of the degree stay live, and are no candidates
+    st.set_rows(gf2.rref(others + [both]), [both])
+    assert others and all(st.reduce_mod_boundaries(v) for v in others)
+    assert resolver.dead_target(src)
 
 
 def test_window_stability(run24, run40):

@@ -172,7 +172,10 @@ def test_rules_override_flag(tmp_path):
     "1 | h_1 | rho h_0 | 0..0",  # target outside deg(h_1) + (-1,1,0)
     "0 | tau | rho h_0 | 0..0",
     "-1 | tau | rho h_0 | 0..0",
-], ids=["unknown-symbol", "empty-k-range", "target-off-degree", "page-zero", "page-negative"])
+    "1 | tau^{k-1} | rho h_0 | 0..3",  # source zero at k_min: would drop the rule
+    "1 | gamma/(rho tau^{k-1}) | 0 | 0..0",
+], ids=["unknown-symbol", "empty-k-range", "target-off-degree", "page-zero", "page-negative",
+        "zero-source-positive", "zero-source-gamma"])
 def test_bad_rules_override_is_usage_error(tmp_path, line):
     rules = tmp_path / "rules.txt"
     rules.write_text(line + "\n")
