@@ -1,19 +1,21 @@
-"""Seeded differential rules and the monomial/rule expression syntax.
+"""Differential rules and the monomial/rule expression syntax.
 
-The seeds are the two page-3 differentials off the tau^3-prefixed edge
-families and the two Q-tower differentials. The tau-power differentials and
-their negative-cone companions are not rules: ``bockstein`` states them in
-closed form (``tau_power_d``, ``pure_gamma_d``). Everything else the engine
-knows is closure: Leibniz products, rho-tower transfer and dead-target
-vanishing. Rules can also be read from an override file (one per line,
-``page | source | target | k_range``) so tests can mutate the rule set.
+Every rule is one line of text, ``page | source | target | k_min[..k_max]``,
+with k standing for the family parameter. ``SEED_LINES`` holds the four
+seeds: the two page-3 differentials off the tau^3-prefixed edge families and
+the two Q-tower differentials. An override file (``--rules-override``) holds
+more lines in the same syntax, and ``parse_rule_line`` parses and checks
+seeds and overrides alike. The tau-power differentials and their
+negative-cone companions are not rules: ``bockstein`` states them in closed
+form (``tau_power_d``, ``pure_gamma_d``). Everything else the engine knows is
+closure: Leibniz products, rho-tower transfer and dead-target vanishing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import Catalog
 from .degrees import DIFFERENTIAL_SHIFT, Window
@@ -32,26 +34,27 @@ class RuleInstance:
     page: int
     source: MonomialClass
     target: Optional[MonomialClass]  # None encodes a declared-zero differential
-    label: str
 
 
 @dataclass(frozen=True)
 class DifferentialRule:
-    """A k-parameterized source -> target rewrite on one page family."""
+    """A k-parameterized source -> target rewrite, held as the texts of its
+    rule line (``label``) and evaluated at each k."""
 
     label: str
+    page: str
+    source: str
+    target: str
     k_min: int
-    page_of: Callable[[int], int]
-    source_of: Callable[[Catalog, int], Optional[MonomialClass]]
-    target_of: Callable[[Catalog, int], Optional[MonomialClass]]
+    k_max: Optional[int]
 
     def instance(self, cat: Catalog, k: int) -> Optional[RuleInstance]:
-        if k < self.k_min:
+        if k < self.k_min or self.k_max is not None and k > self.k_max:
             return None
-        src = self.source_of(cat, k)
+        src = parse_monomial(cat, self.source, k)
         if src is None:
             return None
-        return RuleInstance(self.page_of(k), src, self.target_of(cat, k), self.label)
+        return RuleInstance(_eval_linear(self.page, k), src, parse_monomial(cat, self.target, k))
 
     def instances_in(self, cat: Catalog, window: Window) -> Iterator[RuleInstance]:
         """Every instance from ``k_min`` on, whether or not the window stores
@@ -63,46 +66,25 @@ class DifferentialRule:
             yield inst
 
 
+# The seeded rules: the two page-3 differentials off the tau^3-prefixed edge
+# families and the two Q-tower truncations, in the override-file syntax.
+SEED_LINES = (
+    "3 | tau^3 P^{k} h_0^3 h_3 | rho^3 tau P^{k+1} h_1 | 0",
+    "3 | tau^3 P^{k} h_1 c_0 | rho^3 P^{k+1} h_2 | 0",
+    "4k-1 | Q/rho^{4k-1} h_1^{4k} | gamma/tau^{4k-1} P^{k-1} h_0^3 h_3 | 1",
+    "4k | Q/rho^{4k} h_1^{4k+1} | gamma/tau^{4k} P^{k} h_1 | 1",
+)
+
+
 def seed_rules(cat: Catalog) -> List[DifferentialRule]:
-    """The seeded rule list: the two page-3 edge-family rules and the two
-    Q-tower rules. The tau-power differentials and their gamma companions
+    """The seeded rule list, ``SEED_LINES`` parsed and checked like an
+    override file. The tau-power differentials and their gamma companions
     are stated once, in closed form, in ``bockstein``; every other
     differential is inferred closure."""
-    return [
-        # page-3 differentials off the tau^3-prefixed edge families
-        DifferentialRule(
-            label="d3 tau^3 P^k h_0^3 h_3 -> rho^3 tau P^{k+1} h_1",
-            k_min=0,
-            page_of=lambda k: 3,
-            source_of=lambda c, k: make_positive(c, tau=3, h0=2, family="P^k h_0 h_3", k=k),
-            target_of=lambda c, k: make_positive(c, rho=3, tau=1, family="P^k h_1", k=k + 1),
-        ),
-        DifferentialRule(
-            label="d3 tau^3 P^k h_1 c_0 -> rho^3 P^{k+1} h_2",
-            k_min=0,
-            page_of=lambda k: 3,
-            source_of=lambda c, k: make_positive(c, tau=3, h1=1, family="P^k c_0", k=k),
-            target_of=lambda c, k: make_positive(c, rho=3, family="P^k h_2", k=k + 1),
-        ),
-        # Q-tower truncations
-        DifferentialRule(
-            label="d{4k-1} Q/rho^{4k-1} h_1^{4k} -> gamma/tau^{4k-1} P^{k-1} h_0^3 h_3",
-            k_min=1,
-            page_of=lambda k: 4 * k - 1,
-            source_of=lambda c, k: make_q(c, 4 * k - 1, "h_1^{4+k}", 4 * k - 4),
-            target_of=lambda c, k: make_gamma(c, 0, 4 * k - 1, h0=2, family="P^k h_0 h_3", k=k - 1),
-        ),
-        DifferentialRule(
-            label="d{4k} Q/rho^{4k} h_1^{4k+1} -> gamma/tau^{4k} P^k h_1",
-            k_min=1,
-            page_of=lambda k: 4 * k,
-            source_of=lambda c, k: make_q(c, 4 * k, "h_1^{4+k}", 4 * k - 3),
-            target_of=lambda c, k: make_gamma(c, 0, 4 * k, family="P^k h_1", k=k),
-        ),
-    ]
+    return [parse_rule_line(cat, line) for line in SEED_LINES]
 
 
-# --- monomial and rule expression parsing (override files, tests) ---------------
+# --- monomial and rule expression parsing (seeds, override files, tests) --------
 
 _LINEAR = re.compile(r"^(?:(?P<coef>\d*)k)?(?P<sign>[+-])?(?P<const>\d+)?$")
 
@@ -216,11 +198,17 @@ def parse_monomial(cat: Catalog, text: str, k: int = 0) -> Optional[MonomialClas
 
 
 def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
-    """Parse ``page | source | target | k_min[..k_max]`` into a rule."""
+    """Parse ``page | source | target | k_min[..k_max]`` into a rule.
+
+    The rule is evaluated at its ``k_min`` here, so a malformed page, a page
+    below 1, a malformed or zero source, a malformed target, or a target
+    outside the source's degree plus ``DIFFERENTIAL_SHIFT``, raises
+    ValueError. A zero source would end ``instances_in`` at once and drop
+    the rule unseen. The page never falls as k grows, because an exponent
+    expression has no negative coefficient of k."""
     parts = [p.strip() for p in line.split("|")]
     if len(parts) not in (3, 4):
         raise ValueError(f"rule line needs 3 or 4 fields: {line!r}")
-    page_text, source_text, target_text = parts[:3]
     k_min, k_max = 0, None
     if len(parts) == 4 and parts[3]:
         lo, _, hi = parts[3].partition("..")
@@ -228,49 +216,28 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
         k_max = int(hi) if hi else None
         if k_max is not None and k_max < k_min:
             raise ValueError(f"empty k range {parts[3]!r} in rule line {line!r}")
-
-    def source_of(c, k, _t=source_text):
-        if k_max is not None and k > k_max:
-            return None
-        return parse_monomial(c, _t, k)
-
-    return DifferentialRule(
-        label=line.strip(),
-        k_min=k_min,
-        page_of=lambda k, _t=page_text: _eval_linear(_t, k),
-        source_of=source_of,
-        target_of=lambda c, k, _t=target_text: parse_monomial(c, _t, k),
-    )
+    line = line.strip()
+    rule = DifferentialRule(line, *parts[:3], k_min=k_min, k_max=k_max)
+    if _eval_linear(rule.page, k_min) < 1:
+        raise ValueError(f"page below 1 in rule line {line!r}")
+    inst = rule.instance(cat, k_min)
+    if inst is None:
+        raise ValueError(f"source is zero at k = {k_min} in rule line {line!r}")
+    if inst.target is not None:
+        want = degree_of(cat, inst.source) + DIFFERENTIAL_SHIFT
+        got = degree_of(cat, inst.target)
+        if got != want:
+            raise ValueError(
+                f"target {display(inst.target)} of rule {line!r} lies in {got}, "
+                f"not in {want} (the degree of {display(inst.source)} plus "
+                f"{DIFFERENTIAL_SHIFT})"
+            )
+    return rule
 
 
 def load_rule_overrides(cat: Catalog, path) -> List[DifferentialRule]:
-    """Read an override file; every rule is evaluated at its ``k_min`` here, so
-    a malformed page, a page below 1, a malformed or zero source, a malformed
-    target, or a target outside the source's degree plus
-    ``DIFFERENTIAL_SHIFT``, raises ValueError at load time. A zero source
-    would end ``instances_in`` at once and drop the rule unseen. The page
-    never falls as k grows, because an exponent expression has no negative
-    coefficient of k."""
-    rules = []
+    """Read an override file: one rule line each, ``#`` starts a comment.
+    Each line is parsed and checked by ``parse_rule_line``."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rule = parse_rule_line(cat, line)
-                if rule.page_of(rule.k_min) < 1:
-                    raise ValueError(f"page below 1 in rule line {line!r}")
-                source = rule.source_of(cat, rule.k_min)
-                if source is None:
-                    raise ValueError(f"source is zero at k = {rule.k_min} in rule line {line!r}")
-                target = rule.target_of(cat, rule.k_min)
-                if target is not None:
-                    want = degree_of(cat, source) + DIFFERENTIAL_SHIFT
-                    got = degree_of(cat, target)
-                    if got != want:
-                        raise ValueError(
-                            f"target {display(target)} of rule {line!r} lies in {got}, "
-                            f"not in {want} (the degree of {display(source)} plus "
-                            f"{DIFFERENTIAL_SHIFT})"
-                        )
-                rules.append(rule)
-    return rules
+        lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    return [parse_rule_line(cat, line) for line in lines if line]

@@ -1,8 +1,10 @@
 import pytest
 
-from blregion.degrees import TriDegree
+from blregion.bockstein import run_bockstein
+from blregion.degrees import TriDegree, Window
 from blregion.monomials import degree_of, make_gamma, make_positive, make_q
 from blregion.rules import (
+    SEED_LINES,
     load_rule_overrides,
     parse_monomial,
     parse_rule_line,
@@ -10,16 +12,16 @@ from blregion.rules import (
 )
 
 # Degree formulas of the seeded differential sources, frozen. Each entry:
-# (label fragment, page at k, source degree at k, k_min). The tau-power
+# (rule line prefix, page at k, source degree at k, k_min). The tau-power
 # differentials are closed forms, frozen in test_bockstein.
 SEED_DEGREES = [
-    ("d3 tau^3 P^k h_0^3 h_3", lambda k: 3,
+    ("3 | tau^3 P^{k} h_0^3 h_3 |", lambda k: 3,
      lambda k: TriDegree(8 * k + 7, 4 * k + 4, 4 * k + 1), 0),
-    ("d3 tau^3 P^k h_1 c_0", lambda k: 3,
+    ("3 | tau^3 P^{k} h_1 c_0 |", lambda k: 3,
      lambda k: TriDegree(8 * k + 9, 4 * k + 4, 4 * k + 3), 0),
-    ("d{4k-1} Q/rho^{4k-1} h_1^{4k}", lambda k: 4 * k - 1,
+    ("4k-1 | Q/rho^{4k-1} h_1^{4k} |", lambda k: 4 * k - 1,
      lambda k: TriDegree(8 * k, 4 * k - 1, 8 * k), 1),
-    ("d{4k} Q/rho^{4k} h_1^{4k+1}", lambda k: 4 * k,
+    ("4k | Q/rho^{4k} h_1^{4k+1} |", lambda k: 4 * k,
      lambda k: TriDegree(8 * k + 2, 4 * k, 8 * k + 2), 1),
 ]
 
@@ -45,15 +47,15 @@ def test_seed_rule_set_matches_frozen_degrees(cat):
 
 
 def test_specific_rule_values(cat):
-    rules = {r.label.split(" -> ")[0]: r for r in seed_rules(cat)}
-    inst = rules["d3 tau^3 P^k h_0^3 h_3"].instance(cat, 0)
+    rules = {r.source: r for r in seed_rules(cat)}
+    inst = rules["tau^3 P^{k} h_0^3 h_3"].instance(cat, 0)
     assert degree_of(cat, inst.source) == TriDegree(7, 4, 1)
     assert inst.target == make_positive(cat, rho=3, tau=1, family="P^k h_1", k=1)
-    inst = rules["d{4k-1} Q/rho^{4k-1} h_1^{4k}"].instance(cat, 1)
+    inst = rules["Q/rho^{4k-1} h_1^{4k}"].instance(cat, 1)
     assert inst.page == 3
     assert inst.source == make_q(cat, 3, "h_1^{4+k}", 0)
     assert inst.target == make_gamma(cat, 0, 3, h0=2, family="P^k h_0 h_3", k=0)
-    inst = rules["d{4k} Q/rho^{4k} h_1^{4k+1}"].instance(cat, 1)
+    inst = rules["Q/rho^{4k} h_1^{4k+1}"].instance(cat, 1)
     assert inst.page == 4
     assert inst.target == make_gamma(cat, 0, 4, family="P^k h_1", k=1)
 
@@ -96,6 +98,20 @@ def test_override_file_parsed_at_load(cat, tmp_path):
         load_rule_overrides(cat, path)
     path.write_text("1 | tau^{2k+1} | rho tau^{2k} h_0 | 0..3\n")
     assert len(load_rule_overrides(cat, path)) == 1
+
+
+def test_seeds_and_overrides_are_one_language(cat, run24, tmp_path):
+    # the seed lines, read back as an override file, restate every seed:
+    # no conflict, and the same pages and differentials as the plain run
+    assert [r.label for r in seed_rules(cat)] == list(SEED_LINES)
+    path = tmp_path / "seeds.txt"
+    path.write_text("\n".join(SEED_LINES) + "\n")
+    extra = load_rule_overrides(cat, path)
+    assert [r.label for r in extra] == list(SEED_LINES)
+    run = run_bockstein(cat, Window(max_stem=24), extra_rules=extra)
+    assert run.states.keys() == run24.states.keys()
+    assert all(run.dimension(d) == run24.dimension(d) for d in run.states)
+    assert run.differentials == run24.differentials
 
 
 def test_one_rule_index_sets_the_schedule(cat, run10):
