@@ -6,14 +6,15 @@ rule instances by page (``index_rules``), which both the page resolver and
 the positive oracle read, the page schedule (pages 1..3 and every page where
 a rule has a stored source) and the positive oracle. ``resolve_page(run, r)``
 then needs only the run and the page. Differentials are stored as values on
-basis monomials; matrices are only materialized when a page is turned, and the
-turn touches only the degrees a nonzero d_r leaves or enters, so its work
-follows the differentials rather than the window. A page differential is
-resolved from, in order: seeded rules, filtration or empty-target vanishing,
-the positive-cone factorization oracle, the factorization of a gamma class
-through one pure-gamma divisor, dead-target vanishing (every cycle its
-candidate targets span is already a boundary), h0/h1 Leibniz transfer and
-rho-tower transfer; pages past 3 use only rules, vanishing and transfer.
+basis monomials. A page turn touches only the degrees a nonzero d_r leaves or
+enters, so its work follows the differentials rather than the window, and it
+names each page class by one E1 vector, reduced modulo the RREF boundaries.
+A page differential is resolved from, in order: seeded rules, filtration or
+empty-target vanishing, the positive-cone factorization oracle, the
+factorization of a gamma class through one pure-gamma divisor, dead-target
+vanishing (every cycle its candidate targets span is already a boundary),
+h0/h1 Leibniz transfer and rho-tower transfer; pages past 3 use only rules,
+vanishing and transfer.
 The tau-power differentials and their gamma companions are closed forms, not
 rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
 every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
@@ -33,8 +34,12 @@ Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 hit". Anything still unresolved, with a live target, falls under the
 engine's declared closure assumption -- no differentials beyond the seeded
 rules, the closed forms and their closure -- and is assigned zero with a log
-entry; the structural checks and the census validate the assumption, while
-conflicting derivations raise instead of guessing.
+entry, while conflicting derivations raise instead of guessing. No check
+validates the logged zeros as such: the census compares only the asserted
+coweight-0 page dimensions, the structural checks read rho-divisibility of
+the nonzero negative-cone differentials and the coweight-1 h1 towers, and
+the page turn checks d_r o d_r = 0; a logged zero can trip one of these only
+where it changes what that check reads.
 """
 
 from __future__ import annotations
@@ -206,8 +211,6 @@ class PositiveOracle:
 
     def _d_raw(self, m: MonomialClass, r: int):
         cat = self.cat
-        if m.cone is not Cone.POSITIVE:
-            raise EngineError("positive oracle fed a negative-cone monomial")
         a, b = m.rho, m.tau
         if not self.index.targets(m, r):
             return None  # empty target degree: vanishing is forced
@@ -559,112 +562,84 @@ def _filtration_jump_ok(m: MonomialClass, val: Chain, r: int) -> bool:
     return all(t.filtration() == want for t in itertools.chain(val.terms, val.external))
 
 
-@dataclass
-class _DegreeMatrix:
-    reps: Tuple[int, ...]
-    cols_page: List[int]   # image in target page coordinates (+ external bits)
-    cols_raw: List[int]    # image in target E1 coordinates
-    target: TriDegree
-    n_target_reps: int
+def _sum_values(st: DegreeState, vec: int, diffs: Dict[MonomialClass, Chain]) -> Chain:
+    """The sum of the d_r values on the monomials of ``st`` that ``vec`` selects."""
+    ch = ZERO
+    for t, mono in enumerate(st.basis):
+        if (vec >> t) & 1:
+            ch ^= diffs.get(mono, ZERO)
+    return ch
 
 
-def _page_matrices(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int):
-    """The d_r matrix of every source degree where some class has a nonzero value.
+def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> None:
+    """Homology with respect to d_r, in the degrees a nonzero d_r leaves or enters.
 
-    A value is nonzero when it has stored terms or an external part. Degrees
-    where d_r is zero on every class get no matrix.
+    In each source degree (some class has a nonzero value) the column of a
+    page representative is its value's stored part as an E1 vector, reduced
+    modulo the target's RREF boundaries, plus one bit per distinct
+    ``external`` part above the target's basis. Every check runs before any
+    row changes: each stored value has a home degree and is a page-r class,
+    and d_r of each column's stored part is a boundary (d_r o d_r = 0;
+    external parts are invisible downstream). Source degrees then keep the
+    kernel as their new cycles, and target degrees gain the images as
+    boundaries. Every other degree keeps its rows: with d_r zero on all of
+    its classes the kernel is the whole page, which is the cycles it has.
     """
-    matrices: Dict[TriDegree, _DegreeMatrix] = {}
-    sources = sorted({degree_of(run.cat, m) for m, v in diffs.items() if v})
-    for d in sources:
+    turned = []
+    new_boundaries: Dict[TriDegree, List[int]] = {}
+    for d in sorted({degree_of(run.cat, m) for m, v in diffs.items() if v}):
         st = run.states[d]
-        reps = st.reps()
-        target_deg = d + DIFFERENTIAL_SHIFT
-        t_state = run.states.get(target_deg)
-        t_reps = t_state.reps() if t_state is not None else ()
+        t_state = run.states.get(d + DIFFERENTIAL_SHIFT)
         externals: Dict[FrozenSet[MonomialClass], int] = {}
-        cols_page, cols_raw = [], []
-        for rep in reps:
-            ch = ZERO
-            for t, mono in enumerate(st.basis):
-                if (rep >> t) & 1:
-                    ch ^= diffs.get(mono, ZERO)
-            raw = 0
+        cols = []
+        for rep in st.reps():
+            ch = _sum_values(st, rep, diffs)
+            col = 0
             if ch.terms:
                 if t_state is None:
                     raise EngineError(
                         f"value {ch.describe()} of d_{r} has no stored home degree"
                     )
+                raw = 0
                 for mono in ch.terms:
                     raw ^= t_state.vector(mono)
                 if not t_state.in_cycles(raw):
                     raise ConflictError(
                         f"d_{r} value {ch.describe()} is not a page-{r} class"
                     )
-            page_vec = 0
-            if raw:
-                reduced = t_state.reduce_mod_boundaries(raw)
-                if reduced:
-                    page_vec, _ = gf2.solve(t_reps, reduced)
-                    if page_vec is None:
-                        raise ConflictError(
-                            f"d_{r} value {ch.describe()} escapes the page at {target_deg}"
-                        )
+                new_boundaries.setdefault(t_state.degree, []).append(raw)
+                col = t_state.reduce_mod_boundaries(raw)
             if ch.external:
-                key = ch.external
-                if key not in externals:
-                    externals[key] = len(externals)
-                page_vec |= 1 << (len(t_reps) + externals[key])
-            cols_page.append(page_vec)
-            cols_raw.append(raw)
-        matrices[d] = _DegreeMatrix(reps, cols_page, cols_raw, target_deg, len(t_reps))
-    return matrices
-
-
-def _check_d_squared(run: BocksteinRun, matrices, r: int) -> None:
-    """d_r o d_r = 0 on every matrix; a degree with no matrix has d_r = 0."""
-    for d, mat in matrices.items():
-        nxt = matrices.get(mat.target)
-        for c_i, col in enumerate(mat.cols_page):
-            col &= (1 << mat.n_target_reps) - 1  # externals invisible downstream
-            if not col or nxt is None:
-                continue
-            second = 0
-            for t_i in range(mat.n_target_reps):
-                if (col >> t_i) & 1:
-                    second ^= nxt.cols_page[t_i]
-            if second & ((1 << nxt.n_target_reps) - 1):
-                raise ConflictError(
-                    f"d_{r} o d_{r} != 0 on a class of degree {d}"
-                )
-
-
-def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> None:
-    """Homology with respect to d_r, in the degrees a nonzero d_r leaves or enters.
-
-    Source degrees (a matrix from ``_page_matrices``) keep the kernel as
-    their new cycles; target degrees gain the images as boundaries. Every
-    other degree keeps its rows: with d_r zero on all of its classes the
-    kernel is the whole page there, and rref(boundaries + reps) is the
-    cycles it already has.
-    """
-    matrices = _page_matrices(run, diffs, r)
-    _check_d_squared(run, matrices, r)
-    new_boundaries: Dict[TriDegree, List[int]] = {}
-    for d, mat in matrices.items():
-        _, kernel = gf2.solve(mat.cols_page, 0)
+                at = externals.setdefault(ch.external, len(externals))
+                col |= 1 << ((len(t_state.basis) if t_state else 0) + at)
+            cols.append(col)
+        turned.append((st, t_state, cols))
+    for st, t_state, cols in turned:
+        if t_state is None:
+            continue
+        stored = (1 << len(t_state.basis)) - 1
+        for col in cols:
+            # d_r(col) has a stored term only if some page class of the target
+            # does, so the loop above has checked that its home degree exists
+            second = _sum_values(t_state, col & stored, diffs)
+            if second.terms:
+                nxt = run.states[t_state.degree + DIFFERENTIAL_SHIFT]
+                v = 0
+                for mono in second.terms:
+                    v ^= nxt.vector(mono)
+                if nxt.reduce_mod_boundaries(v):
+                    raise ConflictError(f"d_{r} o d_{r} != 0 on a class of degree {st.degree}")
+    for st, _, cols in turned:
+        reps = st.reps()
+        _, kernel = gf2.solve(cols, 0)
         lifted = []
         for kv in kernel:
             v = 0
-            for t in range(len(mat.reps)):
+            for t in range(len(reps)):
                 if (kv >> t) & 1:
-                    v ^= mat.reps[t]
+                    v ^= reps[t]
             lifted.append(v)
-        st = run.states[d]
         st.set_rows(gf2.rref(st.boundaries + tuple(lifted)), st.boundaries)
-        images = [v for v in mat.cols_raw if v]
-        if images:
-            new_boundaries.setdefault(mat.target, []).extend(images)
     for d, add in new_boundaries.items():
         st = run.states[d]
         boundaries = gf2.rref(st.boundaries + tuple(add))

@@ -98,8 +98,6 @@ def _gamma_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
         return []
     out = []
     for x, xdeg in under:
-        if not x.family and x.h1 >= 4:
-            continue  # tau-torsion: not in the tau-free part
         i = xdeg.coweight - 1 - deg.coweight
         j = deg.s - xdeg.s
         if i < 1 or j < 0:

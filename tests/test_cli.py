@@ -185,14 +185,23 @@ def test_bad_rules_override_is_usage_error(tmp_path, line):
     assert "Traceback" not in r.stderr
 
 
-def test_d_squared_nonzero_is_engine_error(tmp_path):
-    # gamma/(rho^2 tau^2) h_0 h_3 -> gamma/(rho tau^3) h_0^2 h_3, whose own
-    # d_1 is gamma/tau^4 h_0^3 h_3: d_1 o d_1 != 0 must stop the run
+@pytest.mark.parametrize("line, message", [
+    # the target's own d_1 is gamma/tau^4 h_0^3 h_3
+    ("1 | gamma/(rho^2 tau^2) h_0 h_3 | gamma/(rho tau^3) h_0^2 h_3 | 0..0",
+     "d_1 o d_1 != 0"),
+    # the target supports a d_1, so it is not a cycle on page 3
+    ("3 | gamma/(rho^4 tau) h_1 | gamma/(rho tau^3) h_0 h_2 | 0..0",
+     "d_3 value gamma/(rho tau^3) h_0 h_2 is not a page-3 class"),
+    # the target degree is right, but d_1 must raise the rho exponent by 1
+    ("1 | tau h_1 | h_0^2 | 0..0", "d_1(tau h_1) = h_0^2 breaks the filtration jump"),
+], ids=["d-squared", "not-a-page-class", "filtration-jump"])
+def test_d_squared_nonzero_is_engine_error(tmp_path, line, message):
+    # each override passes the load-time checks; the run must refuse it
     rules = tmp_path / "rules.txt"
-    rules.write_text("1 | gamma/(rho^2 tau^2) h_0 h_3 | gamma/(rho tau^3) h_0^2 h_3 | 0..0\n")
+    rules.write_text(line + "\n")
     r = run_cli("--max-stem", "8", "--rules-override", str(rules))
     assert r.returncode == 3, r.stderr
-    assert "d_1 o d_1 != 0" in r.stderr
+    assert message in r.stderr
     assert "Traceback" not in r.stderr
 
 
