@@ -2,19 +2,22 @@
 
 A ``BocksteinRun`` owns everything its page loop consults, built once from
 its catalog, window, E1 states and rules: the ``E1Index``, the one index of
-rule instances by page (``index_rules``), which both the page resolver and
-the positive oracle read, the page schedule (pages 1..3 and every page where
-a rule has a stored source) and the positive oracle. ``resolve_page(run, r)``
-then needs only the run and the page. Differentials are stored as values on
-basis monomials. A page turn touches only the degrees a nonzero d_r leaves or
-enters, so its work follows the differentials rather than the window, and it
-names each page class by one E1 vector, reduced modulo the RREF boundaries.
+rule instances by page (``index_rules``), which keeps what the page resolver
+and the positive oracle can read, the page schedule (pages 1..3 and every
+page where a rule has a stored source) and the positive oracle.
+``resolve_page(run, r)`` then needs only the run and the page.
+Differentials are stored as values on basis monomials. A page turn touches
+only the degrees a nonzero d_r leaves or enters, so its work follows the
+differentials rather than the window, and it names each page class by one
+E1 vector, reduced modulo the RREF boundaries.
 A page differential is resolved from, in order: seeded rules, filtration or
 empty-target vanishing, the positive-cone factorization oracle, the
 factorization of a gamma class through one pure-gamma divisor, dead-target
 vanishing (every cycle its candidate targets span is already a boundary),
 h0/h1 Leibniz transfer and rho-tower transfer; pages past 3 use only rules,
-vanishing and transfer.
+vanishing and transfer. A class with no rule instance on page r and nothing
+to hit is zero before any class is attempted, so resolve work follows the
+classes d_r can move: at stem 40, 9,888 of the 49,469 page classes.
 The tau-power differentials and their gamma companions are closed forms, not
 rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
 every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
@@ -30,8 +33,9 @@ A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives cached until the rows change.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
-``E1Index.targets(m, r)`` is the one answer to "which classes can d_r(m)
-hit". Anything still unresolved, with a live target, falls under the
+``E1Index.targets(m, r)``, one lookup by target degree, cone group and
+filtration, is the one answer to "which classes can d_r(m) hit". Anything
+still unresolved, with a live target, falls under the
 engine's declared closure assumption -- no differentials beyond the seeded
 rules, the closed forms and their closure -- and is assigned zero with a log
 entry, while conflicting derivations raise instead of guessing. No check
@@ -346,7 +350,7 @@ class BocksteinRun:
     #: E1 bases of every degree the run asks about
     index: E1Index = field(init=False, repr=False)
     oracle: PositiveOracle = field(init=False, repr=False)
-    #: every rule instance in the window's k range
+    #: the rule instances a lookup can read (``index_rules``)
     rule_instances: RuleIndex = field(init=False, repr=False)
     #: pages 1..3, which run on every class, then each page with a stored rule source
     schedule: List[int] = field(init=False)
@@ -385,12 +389,12 @@ class PageResolver:
         return chain_of(self.run.cat, self.run.window, monos)
 
     def _resolve_raw(self, m: MonomialClass):
-        """d_r(m) or _UNKNOWN; the gamma mechanisms see only r <= 3, rho >= r."""
+        """d_r(m) or _UNKNOWN for a class with a rule instance on page r or a
+        nonempty target (``resolve_page`` zeroes every other class); the
+        gamma mechanisms see only r <= 3, rho >= r."""
         inst = self.rule_instances.get(m)
         if inst is not None:
             return self._chain([inst.target] if inst.target else [])
-        if not self.run.index.targets(m, self.r):
-            return ZERO  # empty target in the full E1: forced zero
         if m.cone is Cone.POSITIVE:
             val = self.run.oracle.d(m, self.r)
             return _UNKNOWN if val is _UNKNOWN else self._chain(val or [])
@@ -525,33 +529,44 @@ def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
 
 
 def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
-    """d_r of every class on page r, zero (and logged) where nothing resolves it."""
+    """d_r of every class on page r, zero (and logged) where nothing resolves it.
+
+    Only a class with a rule instance on page r or a nonempty target
+    (``E1Index.targets``) is attempted; every other class is zero before
+    any is attempted, so the transfer passes read it as a resolved
+    neighbour. An attempt reads no other class's value, so the attempts run
+    in page order; what they leave unknown goes through the transfer passes
+    and then the closure log in ``_resolution_order``.
+    """
     resolver = PageResolver(run, r)
-    needed: Set[MonomialClass] = set()
+    index, rules, values = run.index, resolver.rule_instances, resolver.values
+    live: List[MonomialClass] = []
     for st in run.states.values():
         if not st.dim():
             continue
+        picked = 0
         for rep in st.reps():
-            for t, mono in enumerate(st.basis):
-                if (rep >> t) & 1:
-                    needed.add(mono)
-    order = _resolution_order(needed)  # each class once, before any transfer
-    for m in order:
+            picked |= rep
+        for t, m in enumerate(st.basis):
+            if (picked >> t) & 1:
+                if m in rules or index.targets(m, r, st.degree):
+                    live.append(m)
+                else:
+                    values[m] = ZERO  # empty target in the full E1: forced zero
+    for m in live:
         val = resolver._resolve_raw(m)
         if val is _UNKNOWN and resolver.dead_target(m):
             val = ZERO
         if val is not _UNKNOWN:
-            resolver.values[m] = val
-    while resolver.transfer_pass(order):
+            values[m] = val
+    unknown = _resolution_order(m for m in live if m not in values)
+    while resolver.transfer_pass(unknown):
         pass  # each productive pass adds a key to the finite ``values``
-    out: Dict[MonomialClass, Chain] = {}
-    for m in order:
-        val = resolver.values.get(m)  # values holds only resolved Chains
-        if val is None:
+    for m in unknown:
+        if m not in values:
             run.assumptions.note(r, m)
-            val = ZERO
-        out[m] = val
-    return out
+            values[m] = ZERO
+    return values
 
 
 # --- page turning ---------------------------------------------------------------
@@ -647,26 +662,29 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
 
 
 def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]) -> RuleIndex:
-    """Every rule instance in the window's k range, by page and source.
+    """The rule instances a lookup can read, in the window's k range, by page
+    and source.
 
-    One ``instances_in`` pass per rule. Sources outside the window are kept:
-    the positive oracle reads them through rho and tau^4 factors. Two rules
-    that give the same source different targets on one page raise
-    ``ConflictError``, wherever that source lies, and so does a rule that
-    contradicts the closed forms (``_closed_form_d``).
+    The page resolver reads only stored sources and the positive oracle
+    only positive family sources (through rho and tau^4 factors), so only
+    those are kept. Every instance of one ``instances_in`` pass per rule is
+    still checked as it streams by: two rules that give the same source
+    different targets on one page raise ``ConflictError``, wherever that
+    source lies, and so does a rule that contradicts the closed forms
+    (``_closed_form_d``).
     """
     by_page: RuleIndex = {}
+    seen: Dict[Tuple[int, MonomialClass], Optional[MonomialClass]] = {}
     for rule in rules:
         for inst in rule.instances_in(cat, window):
-            page = by_page.setdefault(inst.page, {})
-            old = page.get(inst.source)
-            closed = _closed_form_d(cat, inst.source, inst.page)
-            if (old is not None and old.target != inst.target
+            src, key = inst.source, (inst.page, inst.source)
+            closed = _closed_form_d(cat, src, inst.page)
+            if (seen.get(key, inst.target) != inst.target
                     or closed is not _UNKNOWN and closed != inst.target):
-                raise ConflictError(
-                    f"two rules disagree on {display(inst.source)} at page {inst.page}"
-                )
-            page[inst.source] = inst
+                raise ConflictError(f"two rules disagree on {display(src)} at page {inst.page}")
+            seen[key] = inst.target
+            if src.cone is Cone.POSITIVE and src.family or window.stores(degree_of(cat, src)):
+                by_page.setdefault(inst.page, {})[src] = inst
     return by_page
 
 

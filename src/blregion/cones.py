@@ -7,10 +7,12 @@ witnesses Q/rho^j on the tau-torsion families). Exact per-degree
 enumerators answer "what does E1 contain in this tridegree" anywhere;
 ``build_e1`` applies them to every degree a window stores, listing the
 underlying classes once per filtration, and returns the per-degree bases,
-the one form of E1 a run holds. The differential engine
-does not call the enumerators directly: it asks an ``E1Index``, which
-answers degrees inside the window from the run's stored bases and
-enumerates every other degree once.
+the one form of E1 a run holds. The differential engine does not call the
+enumerators directly: it asks an ``E1Index`` for the classes d_r(m) can
+hit. The index groups each target degree it is asked about by cone group
+and filtration, once per run: a stored degree from the run's stored basis,
+any other from the underlying classes of its Adams filtration, which it
+lists once per filtration as ``build_e1`` does.
 
 Construction is a pure function of (catalog, window); per-degree work is
 independent and merges deterministically in degree order.
@@ -18,6 +20,7 @@ independent and merges deterministically in degree order.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
@@ -148,61 +151,79 @@ def _e1_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
     )
 
 
-def enumerate_e1_at(cat: Catalog, deg: TriDegree, cone: Optional[Cone] = None) -> List[MonomialClass]:
-    if cone is Cone.POSITIVE:
-        return enumerate_positive_at(cat, deg)
-    if cone is Cone.GAMMA:
-        return enumerate_gamma_at(cat, deg)
-    if cone is Cone.Q:
-        return enumerate_q_at(cat, deg)
+def enumerate_e1_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
+    """Exact E1 basis of one tridegree, all three cones, sorted."""
     return _e1_at(cat, deg, _underlying(cat, deg.f))
 
 
-class E1Index:
-    """The E1 basis of any tridegree and cone, for the lifetime of one run.
+#: the filtration map of every empty cone group, shared and read-only
+_NO_CLASSES: Mapping[int, Tuple[MonomialClass, ...]] = MappingProxyType({})
 
-    ``stored`` maps each nonempty stored degree of ``window`` to an object
-    whose ``basis`` is that degree's sorted E1 basis (the run's degree
-    states, built from ``build_e1``). Degrees the window stores are
-    answered from it, filtered by cone, and every other degree is
-    enumerated; either way the answer is memoized here.
+
+class E1Index:
+    """The classes d_r can hit, by target degree, cone group and filtration.
+
+    A positive class hits the positive cone of its target degree, a divided
+    class the gamma and Q parts together; these are the two cone groups.
+    For each (degree, group) it is asked about, the index keeps one map
+    from Bockstein filtration to that filtration's sorted classes, so
+    ``targets`` is one lookup; every empty group shares one read-only map
+    (1,482 of the 6,811 groups a stem-40 run asks about). ``stored`` maps
+    each nonempty stored degree of ``window`` to an object whose ``basis``
+    is that degree's sorted E1 basis (the run's degree states, built from
+    ``build_e1``); a stored degree is grouped from it. Any other degree is
+    grouped from the underlying classes of its Adams filtration
+    (``_underlying``), listed once per filtration for the run, as
+    ``build_e1`` lists them.
     """
 
     def __init__(self, cat: Catalog, window: Window, stored: Mapping[TriDegree, object]):
         self.cat = cat
         self.window = window
         self.stored = stored
-        self._memo: Dict[Tuple[TriDegree, Cone], Tuple[MonomialClass, ...]] = {}
+        self._groups: Dict[Tuple[TriDegree, bool], Mapping[int, Tuple[MonomialClass, ...]]] = {}
+        self._under: Dict[int, List[Tuple[MonomialClass, TriDegree]]] = {}
 
-    def at(self, deg: TriDegree, cone: Cone) -> Tuple[MonomialClass, ...]:
-        """Sorted basis of one cone of E1 in degree ``deg``."""
-        key = (deg, cone)
-        hit = self._memo.get(key)
+    def group(self, deg: TriDegree, positive: bool) -> Mapping[int, Tuple[MonomialClass, ...]]:
+        """The classes of one cone group of E1 in ``deg``, by filtration: the
+        positive cone, or the gamma and Q parts. Each tuple is sorted."""
+        key = (deg, positive)
+        hit = self._groups.get(key)
         if hit is None:
-            if self.window.stores(deg):
-                st = self.stored.get(deg)
-                hit = tuple(m for m in st.basis if m.cone is cone) if st else ()
-            else:
-                hit = tuple(enumerate_e1_at(self.cat, deg, cone))
-            self._memo[key] = hit
+            by_filt: Dict[int, List[MonomialClass]] = {}
+            for m in self._basis(deg, positive):
+                by_filt.setdefault(m.filtration(), []).append(m)
+            hit = {filt: tuple(ms) for filt, ms in by_filt.items()} or _NO_CLASSES
+            self._groups[key] = hit
         return hit
 
-    def targets(self, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
+    def _basis(self, deg: TriDegree, positive: bool) -> List[MonomialClass]:
+        """The sorted basis of one cone group of E1 in ``deg``."""
+        if self.window.stores(deg):
+            st = self.stored.get(deg)
+            return [m for m in st.basis if (m.cone is Cone.POSITIVE) is positive] if st else []
+        under = self._under.get(deg.f)
+        if under is None:
+            under = self._under[deg.f] = _underlying(self.cat, deg.f)
+        if positive:
+            return _positive_at(self.cat, deg, under)
+        return _gamma_at(self.cat, deg, under) + enumerate_q_at(self.cat, deg)
+
+    def targets(self, m: MonomialClass, r: int,
+                deg: Optional[TriDegree] = None) -> Tuple[MonomialClass, ...]:
         """The classes d_r(m) can hit: its target degree, its filtration plus r.
 
-        A positive class hits the positive cone; a divided class hits the
-        gamma and Q parts, and nothing once the filtration turns positive.
-        Only the bases are memoized (by ``at``): a stem-40 run asks 51,550
-        times for 50,857 distinct (m, r), so a memo of the answers would
-        hold about 7 MB for almost no hits.
+        ``deg`` is the degree of m when the caller knows it. A positive class
+        hits the positive cone; a divided class hits the gamma and Q parts,
+        and nothing once the filtration turns positive.
         """
-        target = degree_of(self.cat, m) + DIFFERENTIAL_SHIFT
         filt = m.filtration() + r
-        if m.cone is Cone.POSITIVE:
-            pool = self.at(target, Cone.POSITIVE)
-        else:
-            pool = () if filt > 0 else self.at(target, Cone.GAMMA) + self.at(target, Cone.Q)
-        return tuple(c for c in pool if c.filtration() == filt)
+        positive = m.cone is Cone.POSITIVE
+        if filt > 0 and not positive:
+            return ()
+        if deg is None:
+            deg = degree_of(self.cat, m)
+        return self.group(deg + DIFFERENTIAL_SHIFT, positive).get(filt, ())
 
 
 # --- the windowed E1 page -----------------------------------------------------

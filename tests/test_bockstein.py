@@ -347,6 +347,34 @@ def test_cached_reps_match_fresh_subquotient(cat):
     assert pages >= 4
 
 
+def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch):
+    # a page class with no rule instance on page r and an empty target is
+    # zero without an attempt; every other page class reaches _resolve_raw
+    # once, and the result still holds every page class
+    attempted = []
+    resolve_raw = PageResolver._resolve_raw
+
+    def recording(self, m):
+        attempted.append(m)
+        return resolve_raw(self, m)
+
+    monkeypatch.setattr(PageResolver, "_resolve_raw", recording)
+    skipped = 0
+    for run, r, diffs in _pages(cat, Window(max_stem=12)):
+        on_page = {m for st in run.states.values() for rep in st.reps()
+                   for t, m in enumerate(st.basis) if (rep >> t) & 1}
+        assert set(diffs) == on_page, r
+        rules = run.rule_instances.get(r, {})
+        live = {m for m in on_page if m in rules or run.index.targets(m, r)}
+        assert len(attempted) == len(set(attempted)) and set(attempted) == live, r
+        assert all(diffs[m] == ZERO for m in on_page - live), r
+        assert live, r
+        skipped += len(on_page - live)
+        attempted.clear()
+        turn_page(run, diffs, r)
+    assert skipped > 1000
+
+
 @pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
                          ids=["cw-2..1", "cw-6..1"])
 def test_positive_oracle_survival_is_sound_on_the_page(cat, window):

@@ -1,5 +1,6 @@
 import itertools
 
+from blregion.bockstein import run_bockstein
 from blregion.cones import (
     _degree_box,
     build_e1,
@@ -161,19 +162,24 @@ def test_every_basis_label_filed_once(cat, run10):
 
 
 def test_index_matches_enumerators(cat, run10):
-    # stored degrees come from the run's states, the degrees one differential
-    # step past the stored box from the memo; both must equal the enumerators
+    # stored degrees are grouped from the run's states, the degrees one
+    # differential step past the stored box from the underlying classes;
+    # each cone group, by filtration, must hold what the enumerators give
     box = list(_degree_box(run10.window))
     past = sorted({d + DIFFERENTIAL_SHIFT for d in box} - set(box))
     assert past and not any(run10.window.stores(d) for d in past)
-    enumerators = {
-        Cone.POSITIVE: enumerate_positive_at,
-        Cone.GAMMA: enumerate_gamma_at,
-        Cone.Q: enumerate_q_at,
-    }
     for deg in box + past:
-        for cone, enumerate_at in enumerators.items():
-            assert list(run10.index.at(deg, cone)) == enumerate_at(cat, deg), (deg, cone)
+        for positive, want in (
+            (True, enumerate_positive_at(cat, deg)),
+            (False, enumerate_gamma_at(cat, deg) + enumerate_q_at(cat, deg)),
+        ):
+            group = run10.index.group(deg, positive)
+            for filt, classes in group.items():
+                assert classes and all(m.filtration() == filt for m in classes), (deg, filt)
+                assert list(classes) == sorted(classes, key=lambda m: m.sort_key())
+            got = sorted((m for classes in group.values() for m in classes),
+                         key=lambda m: m.sort_key())
+            assert got == want, (deg, positive)
 
 
 def test_build_e1_matches_enumerators_on_deep_coweights(cat):
@@ -198,22 +204,38 @@ def _filtered_targets(cat, m, r):
         return []
     filt = m.filtration() + r
     if m.cone is Cone.POSITIVE:
-        pool = enumerate_e1_at(cat, target, Cone.POSITIVE)
+        pool = enumerate_positive_at(cat, target)
     else:
         if filt > 0:
             return []
-        pool = enumerate_e1_at(cat, target, Cone.GAMMA) + enumerate_e1_at(cat, target, Cone.Q)
+        pool = enumerate_gamma_at(cat, target) + enumerate_q_at(cat, target)
     return [c for c in pool if c.filtration() == filt]
 
 
 def test_targets_match_filtered_enumeration(cat, run10):
     # the run's index reads stored target degrees from the run's states and
-    # has memoized their bases during the run; it enumerates the others
-    nonempty = 0
-    for st in run10.states.values():
-        for m in st.basis:
-            for r in range(1, 5):
-                want = _filtered_targets(cat, m, r)
-                assert list(run10.index.targets(m, r)) == want, (display(m), r)
-                nonempty += bool(want)
-    assert nonempty > 100
+    # has grouped them during the run; it groups the others from the
+    # underlying classes. Every scheduled page is compared, and in each
+    # window the nonempty targets include degrees past each edge of the
+    # stored box.
+    for run in (run10, run_bockstein(cat, Window(max_stem=12, min_coweight=-6))):
+        window = run.window
+        nonempty = 0
+        past_edges = set()
+        for st in run.states.values():
+            for m in st.basis:
+                for r in run.schedule:
+                    want = _filtered_targets(cat, m, r)
+                    assert list(run.index.targets(m, r)) == want, (display(m), r)
+                    assert run.index.targets(m, r, st.degree) == run.index.targets(m, r)
+                    if not want:
+                        continue
+                    nonempty += 1
+                    target = st.degree + DIFFERENTIAL_SHIFT
+                    past_edges.update(edge for edge, past in (
+                        ("coweight", target.coweight < window.stored_min_coweight),
+                        ("max_f", target.f > window.max_f),
+                        ("min_stem", target.s < window.min_stem),
+                    ) if past)
+        assert nonempty > 100, window
+        assert past_edges == {"coweight", "max_f", "min_stem"}, window

@@ -1,8 +1,8 @@
 import pytest
 
-from blregion.bockstein import run_bockstein
+from blregion.bockstein import ConflictError, index_rules, run_bockstein
 from blregion.degrees import TriDegree, Window
-from blregion.monomials import degree_of, make_gamma, make_positive, make_q
+from blregion.monomials import Cone, degree_of, make_gamma, make_positive, make_q
 from blregion.rules import (
     SEED_LINES,
     load_rule_overrides,
@@ -126,3 +126,20 @@ def test_one_rule_index_sets_the_schedule(cat, run10):
     assert degree_of(cat, src).s == 15 > run10.window.stored_max_stem
     assert run10.rule_instances[3][src].target == make_positive(
         cat, rho=3, tau=1, family="P^k h_1", k=2)
+
+
+def test_rule_index_keeps_only_what_a_lookup_can_read(cat, run10):
+    # the page resolver reads stored sources and the positive oracle positive
+    # family sources, so the index keeps no other instance; a conflict on an
+    # instance it drops is still refused
+    window = run10.window
+    kept = [src for insts in run10.rule_instances.values() for src in insts]
+    assert all(window.stores(degree_of(cat, src)) or src.cone is Cone.POSITIVE and src.family
+               for src in kept)
+    every = [inst for rule in seed_rules(cat) for inst in rule.instances_in(cat, window)]
+    assert len(kept) < len(every)
+    clash = parse_rule_line(cat, "4k | Q/rho^{4k} h_1^{4k+1} | 0 | 2..2")
+    src = clash.instance(cat, 2).source
+    assert not window.stores(degree_of(cat, src)) and src not in run10.rule_instances.get(8, {})
+    with pytest.raises(ConflictError, match="two rules disagree on Q/rho\\^8 h_1\\^9 at page 8"):
+        index_rules(cat, window, seed_rules(cat) + [clash])
