@@ -276,22 +276,17 @@ def classical_edge_at_stem(cat: Catalog, stem: int, max_f: int) -> List[Monomial
                 continue  # tau-torsion powers vanish classically
             if degree_of(cat, z).s == stem:
                 out.append(z)
-    return sorted(out, key=lambda m: m.sort_key())
+    return sorted(out)
 
 
 def is_rho_divisible(page: AdamsPage, alpha: MonomialClass) -> bool:
     """Is the class detected by alpha a rho-multiple, page-level or hidden?"""
     run = page.run
     if alpha.cone is Cone.POSITIVE:
-        if alpha.rho >= 1:
-            pre = MonomialClass(alpha.cone, alpha.family, alpha.k, alpha.rho - 1,
-                                alpha.tau, alpha.h0, alpha.h1)
-            if run.monomial_alive(pre):
-                return True
+        if alpha.rho >= 1 and run.monomial_alive(alpha._replace(rho=alpha.rho - 1)):
+            return True
         return alpha in set(page.hidden_rho.values())
-    deeper = MonomialClass(alpha.cone, alpha.family, alpha.k, alpha.rho + 1,
-                           alpha.tau, alpha.h0, alpha.h1)
-    return run.monomial_alive(deeper)
+    return run.monomial_alive(alpha._replace(rho=alpha.rho + 1))
 
 
 def underlying_map(page: AdamsPage, alpha: MonomialClass) -> Optional[MonomialClass]:

@@ -49,7 +49,7 @@ where it changes what that check reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
@@ -96,11 +96,8 @@ class Chain:
     def describe(self) -> str:
         if not self:
             return "0"
-        parts = [display(m) for m in sorted(self.terms, key=lambda x: x.sort_key())]
-        parts += [
-            display(m) + " (outside window)"
-            for m in sorted(self.external, key=lambda x: x.sort_key())
-        ]
+        parts = [display(m) for m in sorted(self.terms)]
+        parts += [display(m) + " (outside window)" for m in sorted(self.external)]
         return " + ".join(parts)
 
 
@@ -224,7 +221,7 @@ class PositiveOracle:
             # exact rule match modulo rho and tau^4 factors (tau^4 is a cycle here)
             on_page = self.rule_instances.get(r, {})
             for strip in range(0, b // 4 + 1):
-                inst = on_page.get(replace(m, rho=0, tau=b - 4 * strip))
+                inst = on_page.get(m._replace(rho=0, tau=b - 4 * strip))
                 if inst is not None:
                     if inst.target is None:
                         return None
@@ -233,12 +230,12 @@ class PositiveOracle:
             fam = cat.families[m.family]
             if fam.permanent_cycle and b >= fam.perm_tau_prefix:
                 p = fam.perm_tau_prefix  # tau^p z is a declared permanent cycle
-            elif self.index.targets(replace(m, rho=0, tau=0), r):
+            elif self.index.targets(m._replace(rho=0, tau=0), r):
                 return _UNKNOWN  # the tau-free class z may support a d_r
         dt = tau_power_d(cat, b - p, r)
         if dt is _UNKNOWN:
             return _UNKNOWN
-        unit = replace(m, rho=0, tau=p)
+        unit = m._replace(rho=0, tau=p)
         return self._wrap(a, None if dt is None else multiply(cat, dt, unit))
 
     def alive(self, m: MonomialClass, r: int) -> bool:
@@ -462,7 +459,7 @@ class PageResolver:
             if m in self.values:
                 continue
             if m.rho >= 1:
-                shallow = replace(m, rho=m.rho - 1)
+                shallow = m._replace(rho=m.rho - 1)
                 if shallow in self.values and self.run.monomial_alive(shallow):
                     solved = self._rho_lift(m, self.values[shallow])
                     if solved is not _UNKNOWN:
@@ -474,11 +471,11 @@ class PageResolver:
         cat = self.run.cat
         out = []
         if m.cone is Cone.Q and m.k >= 1:
-            out.append((make_positive(cat, h1=1), replace(m, k=m.k - 1)))
+            out.append((make_positive(cat, h1=1), m._replace(k=m.k - 1)))
         if m.h0 >= 1:
-            out.append((make_positive(cat, h0=1), replace(m, h0=m.h0 - 1)))
+            out.append((make_positive(cat, h0=1), m._replace(h0=m.h0 - 1)))
         if m.h1 >= 1:
-            out.append((make_positive(cat, h1=1), replace(m, h1=m.h1 - 1)))
+            out.append((make_positive(cat, h1=1), m._replace(h1=m.h1 - 1)))
         return out
 
     def _rho_lift(self, m: MonomialClass, shallow_value: Chain):
@@ -525,7 +522,7 @@ class PageResolver:
 
 
 def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
-    return sorted(monos, key=lambda m: (m.rho, m.k, m.h0 + m.h1, m.sort_key()))
+    return sorted(monos, key=lambda m: (m.rho, m.k, m.h0 + m.h1, m))
 
 
 def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
@@ -694,25 +691,23 @@ def run_bockstein(
     rules: Optional[Sequence[DifferentialRule]] = None,
     extra_rules: Sequence[DifferentialRule] = (),
 ) -> BocksteinRun:
-    """Run the Bockstein spectral sequence to its last scheduled page."""
+    """Run the Bockstein spectral sequence to its last scheduled page; each
+    page's nonzero values are picked out once, and the filtration-jump check,
+    ``raw_differentials``, the page projection and ``turn_page`` read only them."""
     rules = list(rules if rules is not None else seed_rules(cat)) + list(extra_rules)
     e1 = build_e1(cat, window)
     run = BocksteinRun(cat, window, {d: DegreeState.initial(d, b) for d, b in e1.items()}, rules)
     for r in run.schedule:
-        diffs = resolve_page(run, r)
-        for m, val in diffs.items():
-            if val and not _filtration_jump_ok(m, val, r):
+        nonzero = {m: v for m, v in resolve_page(run, r).items() if v}
+        for m, val in nonzero.items():
+            if not _filtration_jump_ok(m, val, r):
                 raise ConflictError(
                     f"d_{r}({display(m)}) = {val.describe()} breaks the filtration jump"
                 )
-        run.raw_differentials[r] = {m: v for m, v in diffs.items() if v}
-        page_true: Dict[MonomialClass, Chain] = {}
-        for m, v in diffs.items():
-            reduced = _page_reduce(run, v)
-            if reduced:
-                page_true[m] = reduced
-        run.differentials[r] = page_true
-        turn_page(run, diffs, r)
+        run.raw_differentials[r] = nonzero
+        projected = {m: _page_reduce(run, v) for m, v in nonzero.items()}
+        run.differentials[r] = {m: v for m, v in projected.items() if v}
+        turn_page(run, nonzero, r)
     return run
 
 
@@ -759,19 +754,19 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
         for val in diffs.values():
             target_monos.update(val.terms)
             target_monos.update(val.external)
-        for src, val in sorted(diffs.items(), key=lambda kv: kv[0].sort_key()):
+        for src, val in sorted(diffs.items()):
             if src.cone is Cone.POSITIVE:
                 continue
-            deeper = replace(src, rho=src.rho + 1)
+            deeper = src._replace(rho=src.rho + 1)
             if window.stores(degree_of(cat, deeper)) and not diffs.get(deeper):
                 rep.violations.append(
                     f"page {r}: {display(src)} supports a differential but its "
                     f"rho-division {display(deeper)} does not"
                 )
-            for mono in sorted(val.terms, key=lambda m: m.sort_key()):
+            for mono in sorted(val.terms):
                 if mono.cone is Cone.POSITIVE:
                     continue
-                deeper = replace(mono, rho=mono.rho + 1)
+                deeper = mono._replace(rho=mono.rho + 1)
                 ddeg = degree_of(cat, deeper)
                 if not window.stores(ddeg):
                     continue  # tower leaves the window: boundary-marked
@@ -789,7 +784,7 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
     for d in sorted(run.states):
         if d.coweight < 0 and d.s > 0 and 2 * d.f > d.s + 3:
             for m in run.states[d].basis:
-                under_stem = degree_of(cat, replace(m, cone=Cone.POSITIVE, rho=0, tau=0)).s
+                under_stem = degree_of(cat, m._replace(cone=Cone.POSITIVE, rho=0, tau=0)).s
                 if m.cone is Cone.GAMMA and under_stem == 0:
                     continue
                 rep.violations.append(

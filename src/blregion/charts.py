@@ -96,7 +96,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
         spots.setdefault((d.s, d.f), []).append(m)
     placement: Dict[MonomialClass, Tuple[float, float]] = {}
     for (x, y), group in sorted(spots.items()):
-        group.sort(key=lambda m: m.sort_key())
+        group.sort()
         for i, m in enumerate(group):
             dx, dy = _FAN[i % len(_FAN)]
             placement[m] = (x + dx, y + dy)
@@ -108,7 +108,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
             )
 
     alive = set(classes)
-    for m in sorted(alive, key=lambda m: m.sort_key()):
+    for m in sorted(alive):
         x1, y1 = placement[m]
         for sym, kind_name in (("rho", "rho"), ("h_1", "h1")):
             n = module_action(cat, sym, m)
@@ -125,7 +125,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
         doc.arrows.append(Arrow(0.0, float(y_max), "up"))
 
     if kind == "einf":
-        for src, tgt in sorted(page.hidden_rho.items(), key=lambda kv: kv[0].sort_key()):
+        for src, tgt in sorted(page.hidden_rho.items()):
             if src in placement and tgt in placement:
                 x1, y1 = placement[src]
                 x2, y2 = placement[tgt]

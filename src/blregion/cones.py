@@ -92,7 +92,7 @@ def _positive_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
         m = make_positive(cat, rho=a, tau=b, h0=z.h0, h1=z.h1, family=z.family, k=z.k)
         if m is not None and degree_of(cat, m) == deg:
             out.append(m)
-    return sorted(set(out), key=lambda m: m.sort_key())
+    return sorted(set(out))
 
 
 def _gamma_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
@@ -108,7 +108,7 @@ def _gamma_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
         m = make_gamma(cat, j, i, x.h0, x.h1, x.family, x.k)
         if m is not None and degree_of(cat, m) == deg:
             out.append(m)
-    return sorted(set(out), key=lambda m: m.sort_key())
+    return sorted(set(out))
 
 
 def enumerate_positive_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
@@ -140,14 +140,13 @@ def enumerate_q_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
         m = make_q(cat, j, fam.name, k)
         if m is not None and degree_of(cat, m) == deg:
             out.append(m)
-    return sorted(set(out), key=lambda m: m.sort_key())
+    return sorted(set(out))
 
 
 def _e1_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
     """All three cones of ``deg``, from ``_underlying(cat, deg.f)``, sorted."""
     return sorted(
-        _positive_at(cat, deg, under) + _gamma_at(cat, deg, under) + enumerate_q_at(cat, deg),
-        key=lambda m: m.sort_key(),
+        _positive_at(cat, deg, under) + _gamma_at(cat, deg, under) + enumerate_q_at(cat, deg)
     )
 
 

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class TriDegree:
+class TriDegree(NamedTuple):
     """A (stem, filtration, weight) triple.
 
     Stems and weights may be negative (rho and tau both have negative
     entries). The Adams filtration of any stored class is homological and
     >= 0 -- no window stores a degree with f < 0 and the E1 enumerators
     return nothing there -- while difference vectors (shifts) may carry
-    f = -1.
+    f = -1. A NamedTuple: construction, hashing, ``==`` and ``<`` run in C
+    on (s, f, w), and ``+`` adds componentwise.
     """
 
     s: int

@@ -7,13 +7,14 @@ truncations of the edge families, the identification h_0^2 h_2 = tau h_1^3
 (and its P^k translates), and the collapse of the k = 0 member of the P^k h_1
 family into a bare h1 power. Products that would need two distinct family
 roots never occur in the wedge and raise instead of guessing.
+``MonomialClass`` is a NamedTuple, so the dict keys, set members and sort
+keys of every engine mechanism hash, compare and sort in C.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .catalog import Catalog, CatalogError, Q_SHIFT
 from .degrees import TriDegree
@@ -29,8 +30,10 @@ class ProductError(ValueError):
     """A product left the representable monomial universe."""
 
 
-@dataclass(frozen=True, order=True)
-class MonomialClass:
+class MonomialClass(NamedTuple):
+    """A basis monomial as a NamedTuple: hashing, ``==`` and ``<`` are its field
+    tuple's, in C, so the natural order is ``sort_key``'s."""
+
     cone: Cone
     family: str  # "" for none; field order realizes the basis ordering
     k: int
@@ -146,7 +149,7 @@ def make_gamma(
         tau_div -= x.tau  # absorb: gamma/tau^i (tau x') = gamma/tau^(i-1) x'
         if tau_div < 1:
             return None
-        x = replace(x, tau=0)
+        x = x._replace(tau=0)
     if not x.family and x.h1 >= 4:
         return None  # tau-torsion classes do not feed the gamma part
     return MonomialClass(Cone.GAMMA, x.family, x.k, rho_div, tau_div, x.h0, x.h1)

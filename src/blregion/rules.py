@@ -39,7 +39,8 @@ class RuleInstance:
 @dataclass(frozen=True)
 class DifferentialRule:
     """A k-parameterized source -> target rewrite, held as the texts of its
-    rule line (``label``) and evaluated at each k."""
+    rule line (``label``). A pass over k tokenizes each text once and then
+    evaluates each k in integers."""
 
     label: str
     page: str
@@ -49,21 +50,25 @@ class DifferentialRule:
     k_max: Optional[int]
 
     def instance(self, cat: Catalog, k: int) -> Optional[RuleInstance]:
-        if k < self.k_min or self.k_max is not None and k > self.k_max:
-            return None
-        src = parse_monomial(cat, self.source, k)
-        if src is None:
-            return None
-        return RuleInstance(_eval_linear(self.page, k), src, parse_monomial(cat, self.target, k))
+        return next(self._instances(cat, k, k + 1), None)
 
     def instances_in(self, cat: Catalog, window: Window) -> Iterator[RuleInstance]:
         """Every instance from ``k_min`` on, whether or not the window stores
         its source, up to a k bound that grows with the window."""
-        for k in range(self.k_min, self.k_min + window.stored_max_stem + window.max_f + 16):
-            inst = self.instance(cat, k)
-            if inst is None:
-                break
-            yield inst
+        return self._instances(cat, self.k_min,
+                               self.k_min + window.stored_max_stem + window.max_f + 16)
+
+    def _instances(self, cat: Catalog, lo: int, hi: int) -> Iterator[RuleInstance]:
+        """The instances at k in [lo, hi) and the k range, up to the first zero
+        source, which ``parse_rule_line`` reports before a bad target."""
+        hi = hi if self.k_max is None else min(hi, self.k_max + 1)
+        (a, b), source, target = _linear(self.page), _tokenize(self.source), None
+        for k in range(max(lo, self.k_min), hi):
+            src = _monomial_at(cat, source, k)
+            if src is None:
+                return
+            target = target or _tokenize(self.target)
+            yield RuleInstance(a * k + b, src, _monomial_at(cat, target, k))
 
 
 # The seeded rules: the two page-3 differentials off the tau^3-prefixed edge
@@ -88,9 +93,11 @@ def seed_rules(cat: Catalog) -> List[DifferentialRule]:
 
 _LINEAR = re.compile(r"^(?:(?P<coef>\d*)k)?(?P<sign>[+-])?(?P<const>\d+)?$")
 
+Linear = Tuple[int, int]  # (a, b) stands for the exponent a * k + b
 
-def _eval_linear(text: str, k: int) -> int:
-    """Evaluate an exponent expression like '3', 'k', '2k+1', '4k-1' at k."""
+
+def _linear(text: str) -> Linear:
+    """Tokenize an exponent expression like '3', 'k', '2k+1', '4k-1'."""
     t = text.strip().replace(" ", "")
     m = _LINEAR.match(t)
     if not m or (m.group("coef") is None and m.group("const") is None and "k" not in t):
@@ -101,27 +108,24 @@ def _eval_linear(text: str, k: int) -> int:
     const = int(m.group("const")) if m.group("const") else 0
     if m.group("sign") == "-":
         const = -const
-    return coef * k + const
+    return coef, const
 
 
 _FACTOR = re.compile(r"(rho|tau|h_\d|c_0|P)(?:\^(?:(\d+)|\{([^}]*)\}))?")
 
 
-def _eval_factors(text: str, k: int) -> Dict[str, int]:
-    exps: Dict[str, int] = {}
+def _factors(text: str) -> Dict[str, Linear]:
+    """The exponent of each symbol of a product like 'rho tau^{2k} h_0'."""
+    exps: Dict[str, Linear] = {}
     pos = 0
     for m in _FACTOR.finditer(text):
         if text[pos:m.start()].strip():
             raise ValueError(f"cannot parse {text!r} near {text[pos:m.start()]!r}")
         pos = m.end()
-        sym = m.group(1)
-        if m.group(2) is not None:
-            e = int(m.group(2))
-        elif m.group(3) is not None:
-            e = _eval_linear(m.group(3), k)
-        else:
-            e = 1
-        exps[sym] = exps.get(sym, 0) + e
+        exp = m.group(2) if m.group(2) is not None else m.group(3)
+        a, b = _linear(exp) if exp is not None else (0, 1)
+        a0, b0 = exps.get(m.group(1), (0, 0))
+        exps[m.group(1)] = (a0 + a, b0 + b)
     if text[pos:].strip():
         raise ValueError(f"cannot parse {text!r} near {text[pos:]!r}")
     return exps
@@ -156,45 +160,48 @@ def _resolve_family(cat: Catalog, exps: Dict[str, int]) -> Tuple[str, int, int, 
     return "", 0, h0, h1
 
 
-def parse_monomial(cat: Catalog, text: str, k: int = 0) -> Optional[MonomialClass]:
-    """Parse an expression like 'tau^3 P^{k} h_0^3 h_3', 'gamma/(rho^2 tau^{4k+2}) P^k h_1',
-    'Q/rho^{4k} h_1^{4k+1}', '1' or '0' at a concrete parameter value k."""
+def _tokenize(text: str) -> Tuple[str, str, Dict[str, Linear], Dict[str, Linear]]:
+    """A monomial expression as its text, head ("0", "Q", "gamma", or "" for the
+    positive cone), rho^j tau^i prefix (a divisor under gamma and Q) and factors."""
     text = text.strip()
-    if text == "0":
-        return None
-    if text == "1":
-        return make_positive(cat)
-    if text.startswith("Q"):
-        rest = text[1:].strip()
-        j = 0
+    head, div, rest, allowed = "", "", text, set()
+    if text in ("0", "1"):
+        head, rest = ("0" if text == "0" else ""), ""
+    elif text.startswith("Q"):
+        head, rest, allowed = "Q", text[1:].strip(), {"rho"}
         if rest.startswith("/"):
             div, _, rest = rest[1:].partition(" ")
-            exps = _eval_factors(div, k)
-            j = exps.pop("rho", 0)
-            if exps:
-                raise ValueError(f"bad Q divisor in {text!r}")
-        exps = _eval_factors(rest, k)
+    elif text.startswith("gamma/"):
+        head, rest, allowed = "gamma", text[len("gamma/"):], {"rho", "tau"}
+        div, _, rest = rest[1:].partition(")") if rest.startswith("(") else rest.partition(" ")
+    prefix = _factors(div)
+    if set(prefix) - allowed:
+        raise ValueError(f"bad {head} divisor in {text!r}")
+    factors = _factors(rest)
+    if not head:
+        prefix = {s: factors.pop(s) for s in ("rho", "tau") if s in factors}
+    return text, head, prefix, factors
+
+
+def _monomial_at(cat: Catalog, form: tuple, k: int) -> Optional[MonomialClass]:
+    text, head, prefix, factors = form
+    if head == "0":
+        return None
+    p, exps = ({sym: a * k + b for sym, (a, b) in e.items()} for e in (prefix, factors))
+    j, i = p.get("rho", 0), p.get("tau", 0)
+    if head == "Q":
         h1 = exps.pop("h_1", 0)
         if exps or h1 < 4:
             raise ValueError(f"bad Q class {text!r}")
         return make_q(cat, j, "h_1^{4+k}", h1 - 4)
-    if text.startswith("gamma/"):
-        rest = text[len("gamma/"):]
-        if rest.startswith("("):
-            div, _, rest = rest[1:].partition(")")
-        else:
-            div, _, rest = rest.partition(" ")
-        dexp = _eval_factors(div, k)
-        j, i = dexp.pop("rho", 0), dexp.pop("tau", 0)
-        if dexp:
-            raise ValueError(f"bad gamma divisor in {text!r}")
-        fam, fk, h0, h1 = _resolve_family(cat, _eval_factors(rest, k))
-        return make_gamma(cat, j, i, h0, h1, fam, fk)
-    exps = _eval_factors(text, k)
-    rho = exps.pop("rho", 0)
-    tau = exps.pop("tau", 0)
     fam, fk, h0, h1 = _resolve_family(cat, exps)
-    return make_positive(cat, rho, tau, h0, h1, fam, fk)
+    return (make_gamma if head else make_positive)(cat, j, i, h0, h1, fam, fk)
+
+
+def parse_monomial(cat: Catalog, text: str, k: int = 0) -> Optional[MonomialClass]:
+    """Parse an expression like 'tau^3 P^{k} h_0^3 h_3', 'gamma/(rho^2 tau^{4k+2}) P^k h_1',
+    'Q/rho^{4k} h_1^{4k+1}', '1' or '0' at a concrete parameter value k."""
+    return _monomial_at(cat, _tokenize(text), k)
 
 
 def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
@@ -218,7 +225,8 @@ def parse_rule_line(cat: Catalog, line: str) -> DifferentialRule:
             raise ValueError(f"empty k range {parts[3]!r} in rule line {line!r}")
     line = line.strip()
     rule = DifferentialRule(line, *parts[:3], k_min=k_min, k_max=k_max)
-    if _eval_linear(rule.page, k_min) < 1:
+    a, b = _linear(rule.page)
+    if a * k_min + b < 1:
         raise ValueError(f"page below 1 in rule line {line!r}")
     inst = rule.instance(cat, k_min)
     if inst is None:

@@ -175,14 +175,12 @@ def test_structural_constraints_clean(run24):
 def test_rho_divisibility_of_differentials(cat, run24):
     # every negative-cone class in a nonzero differential has its deeper
     # rho-division present wherever the window stores it
-    from dataclasses import replace
-
     for r, diffs in run24.differentials.items():
         for src, val in diffs.items():
             if src.cone is Cone.POSITIVE:
                 continue
             for mono in [src] + sorted(val.terms, key=lambda m: m.sort_key()):
-                deeper = replace(mono, rho=mono.rho + 1)
+                deeper = mono._replace(rho=mono.rho + 1)
                 deg = degree_of(cat, deeper)
                 if run24.window.stores(deg):
                     assert deeper in run24.states[deg].basis

@@ -14,6 +14,9 @@ def test_degree_arithmetic_componentwise():
     a, b = TriDegree(3, 1, 2), TriDegree(-1, 0, -1)
     assert a + b == TriDegree(2, 1, 1)
     assert a.scale(3) == TriDegree(9, 3, 6)
+    # + adds, it does not concatenate; str is the compact form reports print
+    assert type(a + b) is TriDegree and type(a.scale(-2)) is TriDegree
+    assert [str(a), str(b + b), str(a.scale(-2))] == ["(3,1,2)", "(-2,0,-2)", "(-6,-2,-4)"]
 
 
 def test_coweight_additive_and_commutative():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -116,6 +117,27 @@ def test_sort_key_orders_cones(cat):
     gam = make_gamma(cat, 0, 1)
     q = make_q(cat, 0, "h_1^{4+k}", 0)
     assert sorted([q, gam, pos], key=lambda m: m.sort_key()) == [pos, gam, q]
+
+
+def test_classes_and_degrees_hash_and_sort_as_field_tuples(cat, run24):
+    # set and dict iteration orders follow these hashes and every sort this
+    # order, so both must stay those of the fields in their declared order
+    classes = [m for st in run24.states.values() for m in st.basis]
+    degrees = list(run24.states)
+    for m in classes:
+        assert hash(m) == hash((m.cone, m.family, m.k, m.rho, m.tau, m.h0, m.h1))
+    for d in degrees:
+        assert hash(d) == hash((d.s, d.f, d.w))
+    shuffled = random.Random(15).sample(classes, len(classes))
+    assert sorted(shuffled) == sorted(shuffled, key=MonomialClass.sort_key)
+    shuffled = random.Random(15).sample(degrees, len(degrees))
+    assert sorted(shuffled) == sorted(shuffled, key=lambda d: (d.s, d.f, d.w))
+    # a class never equals a degree, so one dict can key both
+    assert not set(classes) & set(degrees + [degree_of(cat, m) for m in classes])
+    with pytest.raises(AttributeError):
+        classes[0].rho = 1
+    with pytest.raises(AttributeError):
+        degrees[0].s = 0
 
 
 def reference_degree(cat, m):

@@ -11,6 +11,7 @@ from blregion.cones import build_e1  # noqa: E402
 from blregion.degrees import Window  # noqa: E402
 from blregion.monomials import (  # noqa: E402
     Cone,
+    MonomialClass,
     ProductError,
     degree_of,
     make_gamma,
@@ -80,6 +81,19 @@ def test_degree_is_additive_on_products(cat, data):
         product = None  # outside the wedge: no product to check
     assume(product is not None)
     assert degree_of(cat, product) == degree_of(cat, a) + degree_of(cat, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classes_hash_and_sort_as_field_tuples(cat, data):
+    xs = [data.draw(monomials(cat), label=f"m{i}") for i in range(data.draw(st.integers(1, 6)))]
+    for m in xs:
+        assert hash(m) == hash((m.cone, m.family, m.k, m.rho, m.tau, m.h0, m.h1))
+        d = degree_of(cat, m)
+        assert hash(d) == hash((d.s, d.f, d.w)) and m != d
+        with pytest.raises(AttributeError):
+            m.k = m.k + 1
+    assert sorted(xs) == sorted(xs, key=MonomialClass.sort_key)
 
 
 @pytest.fixture(scope="module")
