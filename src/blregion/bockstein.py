@@ -26,12 +26,16 @@ contradicts them.
 ``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
 run only on pages r <= 3 and only for gamma classes with rho >= r (any other
 has no target), and each gamma class is tried at one tau exponent n, the
-first multiple of ``TAU_STEP[r]`` at or above its own. The positive oracle
+first multiple of ``TAU_STEP[r]`` at or above its own, through the pure
+class gamma/(rho^j tau^n), which a page builds once per (j, n) with its
+d_r. The positive oracle
 certifies survival by one rule: a class no d_q can hit survives to page r
 exactly when every d_q of it, q < r, is known zero.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
-RREF row lists, with its page representatives cached until the rows change.
+RREF row lists, with its page representatives and the basis classes they
+select cached until the rows change, so each page re-derives the page
+classes of only the degrees the last page turn touched.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 ``E1Index.targets(m, r)``, one lookup by target degree, cone group and
 filtration, is the one answer to "which classes can d_r(m) hit". Anything
@@ -249,13 +253,14 @@ class PositiveOracle:
 class DegreeState:
     """The page in one tridegree: cycles and boundaries as ``gf2`` RREF rows.
 
-    ``reps()`` (one representative per page class) is cached. ``cycles`` and
-    ``boundaries`` are read-only tuples, and ``set_rows`` is the only way to
-    replace them; it drops the cache, so a cached answer always belongs to
-    the current rows.
+    ``reps()`` (one representative per page class) and ``page_classes()``
+    (the basis classes those representatives select) are cached.
+    ``cycles`` and ``boundaries`` are read-only tuples, and ``set_rows`` is
+    the only way to replace them; it drops both caches, so a cached answer
+    always belongs to the current rows.
     """
 
-    __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps")
+    __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps", "_classes")
 
     def __init__(self, degree: TriDegree, basis: Tuple[MonomialClass, ...],
                  cycles: Sequence[int], boundaries: Sequence[int] = ()):
@@ -278,7 +283,7 @@ class DegreeState:
     def set_rows(self, cycles: Sequence[int], boundaries: Sequence[int]) -> None:
         self._cycles = tuple(cycles)
         self._boundaries = tuple(boundaries)
-        self._reps = None
+        self._reps = self._classes = None
 
     def dim(self) -> int:
         return len(self._cycles) - len(self._boundaries)
@@ -287,6 +292,15 @@ class DegreeState:
         if self._reps is None:
             self._reps = tuple(gf2.subquotient_basis(self._cycles, self._boundaries))
         return self._reps
+
+    def page_classes(self) -> Tuple[MonomialClass, ...]:
+        """The basis classes some page representative has a bit on, in basis order."""
+        if self._classes is None:
+            picked = 0
+            for rep in self.reps():
+                picked |= rep
+            self._classes = tuple(m for t, m in enumerate(self.basis) if (picked >> t) & 1)
+        return self._classes
 
     def vector(self, m: MonomialClass) -> int:
         return 1 << self.basis.index(m)
@@ -381,6 +395,8 @@ class PageResolver:
         self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
         self.rule_instances = run.rule_instances.get(r, {})
+        #: (j, n) -> gamma/(rho^j tau^n) and its d_r, for ``_resolve_gamma``
+        self._pure: Dict[Tuple[int, int], Tuple[MonomialClass, Optional[MonomialClass]]] = {}
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         return chain_of(self.run.cat, self.run.window, monos)
@@ -408,7 +424,8 @@ class PageResolver:
         n with gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
         m = tau^(n-i) x * gamma/(rho^j tau^n) gives d_r(m) when the positive
         oracle knows the first factor alive and its d_r; otherwise d_r(m) is
-        _UNKNOWN and left to dead-target vanishing and transfer. No larger n
+        _UNKNOWN and left to dead-target vanishing and transfer. The pure
+        class and its d_r are built once per (j, n) on the page. No larger n
         is tried: the oracle's verdict on tau^b z for q < r depends on b only
         modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``.
         """
@@ -416,11 +433,13 @@ class PageResolver:
         j, i = m.rho, m.tau
         n = i + (-i) % TAU_STEP[r]
         y = make_positive(cat, 0, n - i, m.h0, m.h1, m.family, m.k)
-        G = make_gamma(cat, j, n)
+        pure = self._pure.get((j, n))
+        if pure is None:
+            pure = self._pure[(j, n)] = (make_gamma(cat, j, n), pure_gamma_d(cat, j, n, r))
+        G, dG = pure
         if y is not None and multiply(cat, y, G) == m and oracle.alive(y, r):
             dy = oracle.d(y, r)
             if dy is not _UNKNOWN:
-                dG = pure_gamma_d(cat, j, n, r)
                 terms = [multiply(cat, t, G) for t in dy or []]
                 if dG is not None:
                     terms.append(multiply(cat, y, dG))
@@ -539,17 +558,11 @@ def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
     index, rules, values = run.index, resolver.rule_instances, resolver.values
     live: List[MonomialClass] = []
     for st in run.states.values():
-        if not st.dim():
-            continue
-        picked = 0
-        for rep in st.reps():
-            picked |= rep
-        for t, m in enumerate(st.basis):
-            if (picked >> t) & 1:
-                if m in rules or index.targets(m, r, st.degree):
-                    live.append(m)
-                else:
-                    values[m] = ZERO  # empty target in the full E1: forced zero
+        for m in st.page_classes():
+            if m in rules or index.targets(m, r, st.degree):
+                live.append(m)
+            else:
+                values[m] = ZERO  # empty target in the full E1: forced zero
     for m in live:
         val = resolver._resolve_raw(m)
         if val is _UNKNOWN and resolver.dead_target(m):

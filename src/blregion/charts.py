@@ -11,7 +11,7 @@ is deterministic: stable ordering and fixed precision throughout.
 
 from __future__ import annotations
 
-import xml.sax.saxutils
+import html
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Tuple
@@ -204,7 +204,9 @@ def _svg(doc: ChartDocument) -> bytes:
     def py(y: float) -> float:
         return height - _MARGIN - _UNIT * y
 
-    esc = xml.sax.saxutils.escape
+    def esc(text: str) -> str:
+        return html.escape(text, quote=False)  # &, < and >, as in XML text
+
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -3,25 +3,28 @@
 The positive cone is the polynomial part (edge monomials times rho and tau
 powers); the negative cone splits into the gamma part (tau-free edge classes
 under the infinitely divisible gamma/(rho^j tau^i)) and the Q part (torsion
-witnesses Q/rho^j on the tau-torsion families). Exact per-degree
-enumerators answer "what does E1 contain in this tridegree" anywhere;
-``build_e1`` applies them to every degree a window stores, listing the
-underlying classes once per filtration, and returns the per-degree bases,
-the one form of E1 a run holds. The differential engine does not call the
-enumerators directly: it asks an ``E1Index`` for the classes d_r(m) can
+witnesses Q/rho^j on the tau-torsion families). ``build_e1`` generates the
+per-degree bases of every degree a window stores, the one form of E1 a run
+holds: it walks the underlying classes of each filtration once, emits every
+class the stored box allows in the degree its construction gives, and
+buckets them by degree. Exact per-degree enumerators answer "what does E1
+contain in this tridegree" anywhere, by filtering candidates; they are the
+reference ``build_e1`` is tested against. The differential engine does not
+call either directly: it asks an ``E1Index`` for the classes d_r(m) can
 hit. The index groups each target degree it is asked about by cone group
 and filtration, once per run: a stored degree from the run's stored basis,
-any other from the underlying classes of its Adams filtration, which it
-lists once per filtration as ``build_e1`` does.
+any other through the enumerators, from the underlying classes of its Adams
+filtration, listed once per filtration.
 
-Construction is a pure function of (catalog, window); per-degree work is
-independent and merges deterministically in degree order.
+Construction is a pure function of (catalog, window) and its result comes
+in sorted degree order.
 """
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
@@ -143,16 +146,11 @@ def enumerate_q_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
     return sorted(set(out))
 
 
-def _e1_at(cat: Catalog, deg: TriDegree, under) -> List[MonomialClass]:
-    """All three cones of ``deg``, from ``_underlying(cat, deg.f)``, sorted."""
-    return sorted(
-        _positive_at(cat, deg, under) + _gamma_at(cat, deg, under) + enumerate_q_at(cat, deg)
-    )
-
-
 def enumerate_e1_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
     """Exact E1 basis of one tridegree, all three cones, sorted."""
-    return _e1_at(cat, deg, _underlying(cat, deg.f))
+    under = _underlying(cat, deg.f)
+    return sorted(_positive_at(cat, deg, under) + _gamma_at(cat, deg, under)
+                  + enumerate_q_at(cat, deg))
 
 
 #: the filtration map of every empty cone group, shared and read-only
@@ -165,15 +163,16 @@ class E1Index:
     A positive class hits the positive cone of its target degree, a divided
     class the gamma and Q parts together; these are the two cone groups.
     For each (degree, group) it is asked about, the index keeps one map
-    from Bockstein filtration to that filtration's sorted classes, so
-    ``targets`` is one lookup; every empty group shares one read-only map
-    (1,482 of the 6,811 groups a stem-40 run asks about). ``stored`` maps
-    each nonempty stored degree of ``window`` to an object whose ``basis``
-    is that degree's sorted E1 basis (the run's degree states, built from
-    ``build_e1``); a stored degree is grouped from it. Any other degree is
-    grouped from the underlying classes of its Adams filtration
-    (``_underlying``), listed once per filtration for the run, as
-    ``build_e1`` lists them.
+    from Bockstein filtration to that filtration's sorted classes, and for
+    each source degree it is asked about, the map of its target degree, so
+    ``targets`` adds no degrees. Every empty group shares one read-only map
+    (6,129 of the 11,458 groups of a stem-40 run). ``stored`` maps each
+    nonempty stored degree of ``window`` to an object whose ``basis`` is
+    that degree's sorted E1 basis (the run's degree states, built from
+    ``build_e1``); one pass over it fills both groups of a stored degree.
+    Any other degree is grouped by the per-degree enumerators, from the
+    underlying classes of its Adams filtration (``_underlying``), listed
+    once per filtration for the run.
     """
 
     def __init__(self, cat: Catalog, window: Window, stored: Mapping[TriDegree, object]):
@@ -182,6 +181,8 @@ class E1Index:
         self.stored = stored
         self._groups: Dict[Tuple[TriDegree, bool], Mapping[int, Tuple[MonomialClass, ...]]] = {}
         self._under: Dict[int, List[Tuple[MonomialClass, TriDegree]]] = {}
+        #: source degree -> its target degree's group, indexed by ``positive``
+        self._from: Tuple[Dict[TriDegree, Mapping[int, Tuple[MonomialClass, ...]]], ...] = ({}, {})
 
     def group(self, deg: TriDegree, positive: bool) -> Mapping[int, Tuple[MonomialClass, ...]]:
         """The classes of one cone group of E1 in ``deg``, by filtration: the
@@ -189,18 +190,24 @@ class E1Index:
         key = (deg, positive)
         hit = self._groups.get(key)
         if hit is None:
-            by_filt: Dict[int, List[MonomialClass]] = {}
-            for m in self._basis(deg, positive):
-                by_filt.setdefault(m.filtration(), []).append(m)
-            hit = {filt: tuple(ms) for filt, ms in by_filt.items()} or _NO_CLASSES
-            self._groups[key] = hit
+            if self.window.stores(deg):
+                self._group_stored(deg)
+            else:
+                self._groups[key] = _by_filtration(self._enumerate(deg, positive))
+            hit = self._groups[key]
         return hit
 
-    def _basis(self, deg: TriDegree, positive: bool) -> List[MonomialClass]:
-        """The sorted basis of one cone group of E1 in ``deg``."""
-        if self.window.stores(deg):
-            st = self.stored.get(deg)
-            return [m for m in st.basis if (m.cone is Cone.POSITIVE) is positive] if st else []
+    def _group_stored(self, deg: TriDegree) -> None:
+        """Both cone groups of a stored degree, from one pass over its basis."""
+        st = self.stored.get(deg)
+        split: Tuple[List[MonomialClass], List[MonomialClass]] = ([], [])
+        for m in st.basis if st else ():
+            split[m.cone is Cone.POSITIVE].append(m)
+        self._groups[(deg, False)] = _by_filtration(split[False])
+        self._groups[(deg, True)] = _by_filtration(split[True])
+
+    def _enumerate(self, deg: TriDegree, positive: bool) -> List[MonomialClass]:
+        """The sorted basis of one cone group of E1 in an unstored ``deg``."""
         under = self._under.get(deg.f)
         if under is None:
             under = self._under[deg.f] = _underlying(self.cat, deg.f)
@@ -216,40 +223,82 @@ class E1Index:
         hits the positive cone; a divided class hits the gamma and Q parts,
         and nothing once the filtration turns positive.
         """
-        filt = m.filtration() + r
         positive = m.cone is Cone.POSITIVE
+        filt = (m.rho if positive else -m.rho) + r
         if filt > 0 and not positive:
             return ()
         if deg is None:
             deg = degree_of(self.cat, m)
-        return self.group(deg + DIFFERENTIAL_SHIFT, positive).get(filt, ())
+        by_source = self._from[positive]
+        hit = by_source.get(deg)
+        if hit is None:
+            hit = by_source[deg] = self.group(deg + DIFFERENTIAL_SHIFT, positive)
+        return hit.get(filt, ())
+
+
+def _by_filtration(basis: Iterable[MonomialClass]) -> Mapping[int, Tuple[MonomialClass, ...]]:
+    """A sorted basis split by Bockstein filtration, each part still sorted."""
+    by_filt: Dict[int, List[MonomialClass]] = {}
+    for m in basis:
+        by_filt.setdefault(m.filtration(), []).append(m)
+    return {filt: tuple(ms) for filt, ms in by_filt.items()} or _NO_CLASSES
 
 
 # --- the windowed E1 page -----------------------------------------------------
 
 
-def _degree_box(window: Window) -> Iterator[TriDegree]:
-    """Every degree the window stores, in sorted order (weight rises as coweight falls)."""
-    for s in range(window.min_stem, window.stored_max_stem + 1):
-        for f in range(0, window.max_f + 1):
-            for c in range(window.max_coweight, window.stored_min_coweight - 1, -1):
-                yield TriDegree(s, f, s - c)
-
-
 def build_e1(cat: Catalog, window: Window) -> Dict[TriDegree, Tuple[MonomialClass, ...]]:
     """The sorted E1 basis of every nonempty degree the window stores.
 
-    Keys come in sorted degree order. The underlying classes of each
-    filtration f and their degrees are computed once (``_underlying``) and
-    shared by every stored degree of filtration f, so the result equals
-    ``enumerate_e1_at`` degree by degree. Every Q class is infinitely
-    rho-divisible; the window truncates the towers at its stem edge and the
-    boundary policy marks the cut.
+    Keys come in sorted degree order. Each class is generated once, in its
+    own degree, from the underlying classes of each filtration f
+    (``_underlying``): rho^a tau^b z in (s - a, f, w - a - b) for every
+    underlying z in (s, f, w), since rho sits in (-1, 0, -1) and tau in
+    (0, 0, -1); gamma/(rho^j tau^i) z in (s + j, f, w + i + j + 1); and
+    Q/rho^j over each member of a tau-torsion family, in
+    Q_SHIFT plus the member's degree plus (j, 0, j), for exactly the a, b,
+    i, j the stored box allows. The result equals ``enumerate_e1_at``
+    degree by degree. Every Q class is infinitely rho-divisible; the window
+    truncates the towers at its stem edge and the boundary policy marks the
+    cut.
     """
-    under = {f: _underlying(cat, f) for f in range(window.max_f + 1)}
-    e1 = {}
-    for deg in _degree_box(window):
-        basis = _e1_at(cat, deg, under[deg.f])
-        if basis:
-            e1[deg] = tuple(basis)
-    return e1
+    lo_s, hi_s = window.min_stem, window.stored_max_stem
+    lo_c, hi_c = window.stored_min_coweight, window.max_coweight
+    buckets: Dict[TriDegree, List[MonomialClass]] = {}
+    for f in range(window.max_f + 1):
+        for z, (zs, _, zw) in _underlying(cat, f):
+            zc = zs - zw
+            # rho^a tau^b z lies a stems below z and b coweights above it;
+            # the positive cone has no negative coweight
+            for b in range(max(0, lo_c - zc, -zc), hi_c - zc + 1):
+                m0 = make_positive(cat, 0, b, z.h0, z.h1, z.family, z.k)
+                if m0 is None:
+                    continue
+                cone, fam, k, _, tau, h0, h1 = m0
+                for a in range(max(0, zs - hi_s), zs - lo_s + 1):
+                    deg = TriDegree(zs - a, f, zw - a - b)
+                    buckets.setdefault(deg, []).append(
+                        MonomialClass(cone, fam, k, a, tau, h0, h1))
+            # gamma/(rho^j tau^i) z lies i + 1 coweights below z, j stems above
+            for i in range(max(1, zc - 1 - hi_c), zc - lo_c):
+                m0 = make_gamma(cat, 0, i, z.h0, z.h1, z.family, z.k)
+                if m0 is None:
+                    continue
+                cone, fam, k, _, tau, h0, h1 = m0
+                for j in range(max(0, lo_s - zs), hi_s - zs + 1):
+                    deg = TriDegree(zs + j, f, zw + i + j + 1)
+                    buckets.setdefault(deg, []).append(
+                        MonomialClass(cone, fam, k, j, tau, h0, h1))
+    for fam in sorted(cat.families.values(), key=lambda x: x.name):
+        if not fam.tau_torsion or fam.period.f <= 0:
+            continue
+        for k in itertools.count():
+            qs, qf, qw = Q_SHIFT + fam.degree(k)
+            if qf > window.max_f:
+                break
+            if qf < 0 or not lo_c <= qs - qw <= hi_c:
+                continue
+            for j in range(max(0, lo_s - qs), hi_s - qs + 1):
+                buckets.setdefault(TriDegree(qs + j, qf, qw + j), []).append(
+                    make_q(cat, j, fam.name, k))
+    return {deg: tuple(sorted(buckets[deg])) for deg in sorted(buckets)}

@@ -345,6 +345,25 @@ def test_cached_reps_match_fresh_subquotient(cat):
     assert pages >= 4
 
 
+def test_cached_page_classes_follow_the_rows(cat):
+    # resolve_page reads each state's cached page classes, filled on the
+    # page before; after a page turn they must be the classes a fresh
+    # subquotient basis of the new rows selects, in the degrees it changed
+    run = fresh_run(cat, Window(max_stem=12), seed_rules(cat))
+    before, moved = {}, 0
+    for r in run.schedule:
+        for d, st in run.states.items():
+            picked = 0
+            for rep in gf2.subquotient_basis(st.cycles, st.boundaries):
+                picked |= rep
+            want = tuple(m for t, m in enumerate(st.basis) if (picked >> t) & 1)
+            assert st.page_classes() == want, f"page {r} at {d}"
+            moved += d in before and before[d] != want
+            before[d] = want
+        turn_page(run, resolve_page(run, r), r)
+    assert moved > 100
+
+
 def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch):
     # a page class with no rule instance on page r and an empty target is
     # zero without an attempt; every other page class reaches _resolve_raw

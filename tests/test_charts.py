@@ -1,11 +1,12 @@
 import shutil
 import subprocess
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
 from blregion.bockstein import expected_census_dimension
-from blregion.charts import ChartDocument, chart_from_page, ko_chart, render
+from blregion.charts import BLUE, ChartDocument, Dot, chart_from_page, ko_chart, render
 from blregion.degrees import TriDegree
 
 
@@ -80,6 +81,17 @@ def test_empty_region_chart(cat):
     data = render(doc, "svg")
     ET.fromstring(data.decode("utf-8"))
     assert b"circle" not in data  # grid and shading only
+
+
+def test_svg_escapes_text_as_saxutils_does():
+    labels = ["Q & rho", "a < b", "b > a", "&amp; <&> x&&y>>"]
+    doc = ChartDocument(title=" & ".join(labels), x_max=6, y_max=2,
+                        dots=[Dot(2 * i, 1, BLUE, 0, label) for i, label in enumerate(labels)])
+    data = render(doc, "svg").decode("utf-8")
+    texts = [el.text for el in ET.fromstring(data).iter("{http://www.w3.org/2000/svg}text")]
+    for text in labels + [doc.title]:
+        assert f">{escape(text)}</text>" in data, text
+        assert text in texts
 
 
 def test_ko_chart_reference_data():

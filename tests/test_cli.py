@@ -242,3 +242,15 @@ def test_reports_deterministic():
     a = run_cli("--report", "census", "--max-stem", "10")
     b = run_cli("--report", "census", "--max-stem", "10")
     assert a.stdout == b.stdout
+
+
+def test_cli_import_leaves_out_the_network_stack():
+    # the SVG escape once came from xml.sax.saxutils, whose import pulls in
+    # urllib, http, email and ssl: about 40 ms and 6.5 MB in every process
+    heavy = ("ssl", "http.client", "urllib.request", "email.parser")
+    code = ("import sys, blregion.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []

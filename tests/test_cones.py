@@ -1,8 +1,9 @@
 import itertools
 
+import pytest
+
 from blregion.bockstein import run_bockstein
 from blregion.cones import (
-    _degree_box,
     build_e1,
     enumerate_e1_at,
     enumerate_gamma_at,
@@ -19,6 +20,14 @@ from blregion.monomials import (
     make_q,
     module_action,
 )
+
+
+def degree_box(window):
+    """Every degree the window stores, in sorted order."""
+    for s in range(window.min_stem, window.stored_max_stem + 1):
+        for f in range(0, window.max_f + 1):
+            for c in range(window.max_coweight, window.stored_min_coweight - 1, -1):
+                yield TriDegree(s, f, s - c)
 
 
 def brute_force_degree_buckets(cat, rho_cap=22, tau_cap=10, h_cap=9, k_cap=4):
@@ -165,7 +174,7 @@ def test_index_matches_enumerators(cat, run10):
     # stored degrees are grouped from the run's states, the degrees one
     # differential step past the stored box from the underlying classes;
     # each cone group, by filtration, must hold what the enumerators give
-    box = list(_degree_box(run10.window))
+    box = list(degree_box(run10.window))
     past = sorted({d + DIFFERENTIAL_SHIFT for d in box} - set(box))
     assert past and not any(run10.window.stores(d) for d in past)
     for deg in box + past:
@@ -182,19 +191,31 @@ def test_index_matches_enumerators(cat, run10):
             assert got == want, (deg, positive)
 
 
-def test_build_e1_matches_enumerators_on_deep_coweights(cat):
-    # build_e1 shares one underlying pass per filtration across the whole box;
-    # each degree must still get exactly what the per-degree enumerator gives
-    window = Window(max_stem=16, min_coweight=-6)
+@pytest.mark.parametrize("stem, lo, hi", [
+    pytest.param(16, -6, 1, id="s16-cw-6..1"),  # deep coweights: a large gamma and Q part
+    pytest.param(16, -3, 2, id="s16-cw-3..2"),  # max_coweight 2
+    pytest.param(24, 0, 0, id="s24-cw0..0"),  # one asserted coweight
+    pytest.param(8, -2, 1, id="s8-cw-2..1"),  # the smallest report window
+])
+def test_build_e1_matches_enumerators_on_deep_coweights(cat, stem, lo, hi):
+    # build_e1 generates each class once, in the degree its construction
+    # gives; each degree must get exactly what the per-degree enumerator
+    # gives, and every class must sit in the degree it is filed under
+    window = Window(max_stem=stem, min_coweight=lo, max_coweight=hi)
     e1 = build_e1(cat, window)
     want = {}
-    for deg in _degree_box(window):
+    for deg in degree_box(window):
         basis = enumerate_e1_at(cat, deg)
         if basis:
             want[deg] = tuple(basis)
     assert list(e1) == list(want)
     assert e1 == want
-    assert any(d.coweight < -3 for d in e1)
+    for deg, basis in e1.items():
+        for m in basis:
+            assert degree_of(cat, m) == deg, (display(m), deg)
+    cones = {m.cone for basis in e1.values() for m in basis}
+    assert cones == set(Cone)
+    assert any(d.coweight == window.stored_min_coweight for d in e1)
 
 
 def _filtered_targets(cat, m, r):
