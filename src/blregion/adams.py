@@ -8,12 +8,18 @@ as a rule since its proof lives in connective K-theory. Everything downstream
 (rho- and 2-divisibility of the Hopf-power classes, the image of geometric
 fixed points, underlying detectors, Mahowald invariants of the powers of 2)
 is derived from this extension-decorated page.
+
+Every page fact is read from the run's caches: the survivors of a degree
+(``DegreeState.alive_classes``) and the degree of a stored class
+(``BocksteinRun.degree``). ``divisibility_table`` walks the rho-division
+tower once per k and derives the 2-divisibility and the fixed-point image
+from that list; ``AdamsPage`` itself caches nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .bockstein import BocksteinRun, Report
 from .catalog import Catalog
@@ -52,17 +58,14 @@ class AdamsPage:
 
 def region_classes(run: BocksteinRun) -> List[MonomialClass]:
     """Surviving census monomials: coweight 0, strictly above f = s/2 - 1."""
-    cat, window = run.cat, run.window
+    window = run.window
     out = []
     for d in sorted(run.states):
         if d.coweight != 0 or d.s < 0 or d.s > window.max_stem:
             continue
         if 2 * d.f <= d.s - 2:
             continue
-        st = run.states[d]
-        for m in st.basis:
-            if st.monomial_alive(m):
-                out.append(m)
+        out.extend(run.states[d].alive_classes())
     return out
 
 
@@ -78,10 +81,10 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     1 and would have to be h1-periodic against the finite h1 towers there,
     or to hit the h0 tower from the empty stem-1 column.
     """
-    cat, window = run.cat, run.window
+    window = run.window
     rep = Report()
     for alpha in region_classes(run):
-        d = degree_of(cat, alpha)
+        d = run.degree(alpha)
         # (a) targets (s-1, f+r, w) must be dead or out of the stored page
         for r in range(2, MAX_ADAMS_PAGE + 1):
             t = TriDegree(d.s - 1, d.f + r, d.w)
@@ -90,7 +93,7 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
             st = run.states.get(t)
             if st is None:
                 continue
-            survivors = [m for m in st.basis if st.monomial_alive(m)]
+            survivors = st.alive_classes()
             if survivors:
                 rep.violations.append(
                     f"unexcluded differential: d_{r}({display(alpha)}) has live "
@@ -104,7 +107,7 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
             st = run.states.get(s_deg)
             if st is None:
                 continue
-            sources = [m for m in st.basis if st.monomial_alive(m)]
+            sources = st.alive_classes()
             if not sources:
                 continue
             is_h0_tower = alpha.h1 == 0 and alpha.cone is Cone.POSITIVE and not alpha.family
@@ -141,7 +144,7 @@ def _tower_argument_excludes(
         nxt = module_action(cat, sym, cur)
         if nxt is None:
             return True  # tower hits zero
-        ndeg = degree_of(cat, nxt)
+        ndeg = run.degree(nxt)
         st = run.states.get(ndeg)
         if st is None or not run.window.stores(ndeg):
             return False  # tower escapes the window: cannot certify
@@ -161,7 +164,7 @@ def install_hidden_rho_extensions(run: BocksteinRun) -> AdamsPage:
         tgt = make_positive(cat, h1=k)
         if src is None or tgt is None:
             break
-        if not run.window.asserts(degree_of(cat, src)):
+        if not run.window.asserts(run.degree(src)):
             break
         if not (run.monomial_alive(src) and run.monomial_alive(tgt)):
             break
@@ -198,7 +201,7 @@ def rho_divisibility_engine(page: AdamsPage, k: int) -> int:
     j = 0
     while True:
         deeper = make_q(cat, j + 1, "h_1^{4+k}", k - 4)
-        ddeg = degree_of(cat, deeper)
+        ddeg = run.degree(deeper)
         if ddeg.s > run.window.max_stem:
             raise OutOfWindowError(
                 f"rho-division tower of Q h_1^{k} leaves the window at stem {ddeg.s}"
@@ -245,8 +248,13 @@ def fixed_point_image(k: int, page: AdamsPage) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _fixed_point_image(k, lambda n: rho_divisibility(n, page))
+
+
+def _fixed_point_image(k: int, rho: Callable[[int], int]) -> int:
+    """``fixed_point_image`` with ``rho(n)`` the rho-divisibility of the n-th power."""
     for n in range(0, k + 1):
-        div = rho_divisibility(n, page) if n >= 1 else 0
+        div = rho(n) if n >= 1 else 0
         if div >= k - n:
             return n
     raise AmbiguityError(f"no generator exponent found for k={k}")
@@ -261,8 +269,13 @@ def two_divisibility(k: int, page: AdamsPage) -> int:
     """
     if k < 5:
         raise ValueError("two-divisibility derivation requires k >= 5")
+    return _two_divisibility(k, lambda n: rho_divisibility(n, page))
+
+
+def _two_divisibility(k: int, rho: Callable[[int], int]) -> int:
+    """``two_divisibility`` with ``rho(n)`` the rho-divisibility of the n-th power."""
     m = 0
-    while m + 1 <= k - 1 and rho_divisibility(k - (m + 1), page) >= m + 1:
+    while m + 1 <= k - 1 and rho(k - (m + 1)) >= m + 1:
         m += 1
     return m
 
@@ -298,7 +311,7 @@ def underlying_map(page: AdamsPage, alpha: MonomialClass) -> Optional[MonomialCl
     hidden) map to zero: they make up the kernel of the underlying map.
     """
     cat = page.cat
-    d = degree_of(cat, alpha)
+    d = page.run.degree(alpha)
     if is_rho_divisible(page, alpha):
         return None
     if alpha.cone is Cone.POSITIVE:
@@ -351,14 +364,18 @@ def mahowald_invariant_of_2k(page: AdamsPage, k: int) -> MonomialClass:
 
 
 def divisibility_table(page: AdamsPage, k_max: int) -> List[DivisibilityRecord]:
-    rows = []
-    for k in range(1, k_max + 1):
-        rows.append(
-            DivisibilityRecord(
-                k=k,
-                max_rho_power=rho_divisibility(k, page),
-                max_two_power=two_divisibility(k, page) if k >= 5 else None,
-                fixed_point_generator_exponent=fixed_point_image(k, page),
-            )
+    """The rho-, 2-divisibility and fixed-point image of eta^k for k = 1..k_max.
+
+    ``rho_divisibility`` runs once per k, and the 2-divisibility and the
+    fixed-point image read its list: both need it only at n <= k.
+    """
+    rho = [0] + [rho_divisibility(k, page) for k in range(1, k_max + 1)]
+    return [
+        DivisibilityRecord(
+            k=k,
+            max_rho_power=rho[k],
+            max_two_power=_two_divisibility(k, rho.__getitem__) if k >= 5 else None,
+            fixed_point_generator_exponent=_fixed_point_image(k, rho.__getitem__),
         )
-    return rows
+        for k in range(1, k_max + 1)
+    ]

@@ -33,9 +33,13 @@ certifies survival by one rule: a class no d_q can hit survives to page r
 exactly when every d_q of it, q < r, is known zero.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
-RREF row lists, with its page representatives and the basis classes they
-select cached until the rows change, so each page re-derives the page
-classes of only the degrees the last page turn touched.
+RREF row lists, with its page representatives, the basis classes they
+select and its surviving basis classes cached until the rows change, so
+each page re-derives the page classes of only the degrees the last page
+turn touched. Bases never change, so the run files each stored class under
+its state once (``BocksteinRun.home``) and lists, once, the classes each
+scheduled page can move (``BocksteinRun.movers``); the page loop, the
+checks and the Adams layer read a stored class's degree from its home.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 ``E1Index.targets(m, r)``, one lookup by target degree, cone group and
 filtration, is the one answer to "which classes can d_r(m) hit". Anything
@@ -54,7 +58,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from . import gf2
 from .catalog import Catalog
@@ -108,24 +113,29 @@ class Chain:
 ZERO = Chain()
 
 
-def chain_of(cat: Catalog, window: Window, monos: Iterable[Optional[MonomialClass]]) -> Chain:
-    """The F2 sum of ``monos`` (None is zero). An empty sum returns ``ZERO``, so
-    the many zero values a page resolves share one object."""
+def chain_of(cat: Catalog, window: Window, monos: Iterable[Optional[MonomialClass]],
+             home: Container[MonomialClass] = frozenset()) -> Chain:
+    """The F2 sum of ``monos`` (None is zero). A class in ``home`` (a run's
+    stored classes) is stored without a ``degree_of`` call. An empty sum
+    returns ``ZERO``, so the many zero values a page resolves share one
+    object."""
     terms: Set[MonomialClass] = set()
     external: Set[MonomialClass] = set()
     for m in monos:
         if m is None:
             continue
-        bucket = terms if window.stores(degree_of(cat, m)) else external
+        bucket = terms if m in home or window.stores(degree_of(cat, m)) else external
         bucket.symmetric_difference_update({m})
     if not terms and not external:
         return ZERO
     return Chain(frozenset(terms), frozenset(external))
 
 
-def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chain) -> Chain:
+def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chain,
+                   home: Container[MonomialClass] = frozenset()) -> Chain:
     return chain_of(
-        cat, window, (multiply(cat, factor, m) for m in itertools.chain(ch.terms, ch.external))
+        cat, window, (multiply(cat, factor, m) for m in itertools.chain(ch.terms, ch.external)),
+        home,
     )
 
 
@@ -253,14 +263,16 @@ class PositiveOracle:
 class DegreeState:
     """The page in one tridegree: cycles and boundaries as ``gf2`` RREF rows.
 
-    ``reps()`` (one representative per page class) and ``page_classes()``
-    (the basis classes those representatives select) are cached.
-    ``cycles`` and ``boundaries`` are read-only tuples, and ``set_rows`` is
-    the only way to replace them; it drops both caches, so a cached answer
-    always belongs to the current rows.
+    Three answers are cached: ``reps()`` (one representative per page
+    class), ``page_classes()`` (the basis classes those representatives
+    select) and ``alive_classes()`` (the basis classes that are themselves
+    page classes: a cycle and not a boundary). ``cycles`` and
+    ``boundaries`` are read-only tuples, and ``set_rows`` is the only way to
+    replace them; it drops all three caches, so a cached answer always
+    belongs to the current rows.
     """
 
-    __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps", "_classes")
+    __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps", "_classes", "_alive")
 
     def __init__(self, degree: TriDegree, basis: Tuple[MonomialClass, ...],
                  cycles: Sequence[int], boundaries: Sequence[int] = ()):
@@ -283,7 +295,7 @@ class DegreeState:
     def set_rows(self, cycles: Sequence[int], boundaries: Sequence[int]) -> None:
         self._cycles = tuple(cycles)
         self._boundaries = tuple(boundaries)
-        self._reps = self._classes = None
+        self._reps = self._classes = self._alive = None
 
     def dim(self) -> int:
         return len(self._cycles) - len(self._boundaries)
@@ -324,11 +336,18 @@ class DegreeState:
                 return False
         return True
 
+    def alive_classes(self) -> Tuple[MonomialClass, ...]:
+        """The basis classes whose own vector is a cycle and not a boundary,
+        in basis order."""
+        if self._alive is None:
+            cycles, boundaries = self._cycles, self._boundaries
+            self._alive = tuple(m for t, m in enumerate(self.basis)
+                                if not gf2.reduce(1 << t, cycles)
+                                and gf2.reduce(1 << t, boundaries))
+        return self._alive
+
     def monomial_alive(self, m: MonomialClass) -> bool:
-        if m not in self.basis:
-            return False
-        v = self.vector(m)
-        return self.in_cycles(v) and self.reduce_mod_boundaries(v) != 0
+        return m in self.alive_classes()
 
 
 @dataclass
@@ -343,9 +362,13 @@ class AssumptionLog:
 class BocksteinRun:
     """One run of ``rules`` in ``window``: its pages and what resolves them.
 
-    The E1 index, the rule instances, the page schedule and the positive
-    oracle are built once, from the first four fields, and live as long as
-    the run.
+    The E1 index, the rule instances, the page schedule, the positive
+    oracle, the home index and the movers of each scheduled page are built
+    once, from the first four fields, and live as long as the run. Bases
+    never change, so ``home`` (each stored E1 class to its degree state)
+    holds for the whole run; ``degree`` and ``monomial_alive`` read it and
+    fall back to ``degree_of`` for a class no stored basis holds, so every
+    answer is the one ``degree_of`` gives.
     """
 
     cat: Catalog
@@ -365,22 +388,67 @@ class BocksteinRun:
     rule_instances: RuleIndex = field(init=False, repr=False)
     #: pages 1..3, which run on every class, then each page with a stored rule source
     schedule: List[int] = field(init=False)
+    #: each stored E1 class -> the state of its degree
+    home: Dict[MonomialClass, DegreeState] = field(init=False, repr=False)
+    #: scheduled page -> the stored classes with a rule instance or a nonempty
+    #: target there (``E1Index.targets``), in state and basis order
+    movers: Dict[int, Tuple[MonomialClass, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.home = {m: st for st in self.states.values() for m in st.basis}
         self.index = E1Index(self.cat, self.window, self.states)
         self.rule_instances = index_rules(self.cat, self.window, self.rules)
         self.oracle = PositiveOracle(self.cat, self.rule_instances, self.index)
         stored = {r for r, insts in self.rule_instances.items()
                   if any(self.window.stores(degree_of(self.cat, s)) for s in insts)}
         self.schedule = sorted({1, 2, 3} | stored)
+        self.movers = self._list_movers()
+
+    def _list_movers(self) -> Dict[int, Tuple[MonomialClass, ...]]:
+        """``movers``, from the target groups ``E1Index.targets`` reads.
+
+        A positive class m moves on page r when its target's positive group
+        has filtration rho + r, a divided class when the gamma and Q group
+        has -rho + r (never once that turns positive, so a rho-free divided
+        class moves only by a rule, and its group is not read).
+        """
+        ruled: Dict[MonomialClass, List[int]] = {}
+        for r, insts in self.rule_instances.items():
+            for src in insts:
+                if src in self.home:
+                    ruled.setdefault(src, []).append(r)
+        movers: Dict[int, List[MonomialClass]] = {r: [] for r in self.schedule}
+        group = self.index.group
+        for st in self.states.values():
+            target = st.degree + DIFFERENTIAL_SHIFT
+            for m in st.basis:
+                positive = m.cone is Cone.POSITIVE
+                filts = group(target, positive) if positive or m.rho else ()
+                lift = m.rho if positive else -m.rho
+                for f in filts:
+                    at = movers.get(f - lift)
+                    if at is not None:
+                        at.append(m)
+                for r in ruled.get(m, ()):  # a stored rule source's page is scheduled
+                    if r + lift not in filts:
+                        movers[r].append(m)
+        return {r: tuple(ms) for r, ms in movers.items()}
+
+    def degree(self, m: MonomialClass) -> TriDegree:
+        """The degree of m: its home state's, or ``degree_of``'s for a class no
+        stored basis holds."""
+        st = self.home.get(m)
+        return st.degree if st is not None else degree_of(self.cat, m)
 
     def dimension(self, d: TriDegree) -> int:
         st = self.states.get(d)
         return st.dim() if st else 0
 
     def monomial_alive(self, m: MonomialClass) -> bool:
-        st = self.states.get(degree_of(self.cat, m))
-        return bool(st and st.monomial_alive(m))
+        st = self.home.get(m)
+        if st is None:
+            st = self.states.get(degree_of(self.cat, m))
+        return st is not None and m in st.alive_classes()
 
 
 # --- per-page resolution --------------------------------------------------------
@@ -399,7 +467,8 @@ class PageResolver:
         self._pure: Dict[Tuple[int, int], Tuple[MonomialClass, Optional[MonomialClass]]] = {}
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
-        return chain_of(self.run.cat, self.run.window, monos)
+        run = self.run
+        return chain_of(run.cat, run.window, monos, run.home)
 
     def _resolve_raw(self, m: MonomialClass):
         """d_r(m) or _UNKNOWN for a class with a rule instance on page r or a
@@ -455,7 +524,7 @@ class PageResolver:
         page is never dead (an empty stored one is ``_resolve_raw``'s zero).
         """
         run = self.run
-        st = run.states.get(degree_of(run.cat, m) + DIFFERENTIAL_SHIFT)
+        st = run.states.get(run.degree(m) + DIFFERENTIAL_SHIFT)
         if st is None:
             return False
         candidates = run.index.targets(m, self.r)
@@ -466,20 +535,21 @@ class PageResolver:
 
     def transfer_pass(self, needed: Sequence[MonomialClass]) -> bool:
         changed = False
-        cat, window = self.run.cat, self.run.window
+        run = self.run
         for m in needed:
             if m in self.values or m.cone is Cone.POSITIVE:
                 continue
             for u, nb in self._bump_parents(m):
-                if nb in self.values and self.run.monomial_alive(nb):
-                    self.values[m] = multiply_chain(cat, window, u, self.values[nb])
+                if nb in self.values and run.monomial_alive(nb):
+                    self.values[m] = multiply_chain(run.cat, run.window, u, self.values[nb],
+                                                    run.home)
                     changed = True
                     break
             if m in self.values:
                 continue
             if m.rho >= 1:
                 shallow = m._replace(rho=m.rho - 1)
-                if shallow in self.values and self.run.monomial_alive(shallow):
+                if shallow in self.values and run.monomial_alive(shallow):
                     solved = self._rho_lift(m, self.values[shallow])
                     if solved is not _UNKNOWN:
                         self.values[m] = solved
@@ -509,7 +579,7 @@ class PageResolver:
         if shallow_value.external:
             return _UNKNOWN
         candidates = run.index.targets(m, r)
-        target_deg = degree_of(cat, m) + DIFFERENTIAL_SHIFT
+        target_deg = run.degree(m) + DIFFERENTIAL_SHIFT
         shallow_deg = target_deg + TriDegree(-1, 0, -1)
         t_state = run.states.get(target_deg)
         s_state = run.states.get(shallow_deg)
@@ -547,22 +617,20 @@ def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
 def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
     """d_r of every class on page r, zero (and logged) where nothing resolves it.
 
-    Only a class with a rule instance on page r or a nonempty target
-    (``E1Index.targets``) is attempted; every other class is zero before
-    any is attempted, so the transfer passes read it as a resolved
+    ``r`` is a page of ``run.schedule``. Only its movers (``run.movers``)
+    that are page classes are attempted; every other page class is zero
+    before any is attempted, so the transfer passes read it as a resolved
     neighbour. An attempt reads no other class's value, so the attempts run
     in page order; what they leave unknown goes through the transfer passes
-    and then the closure log in ``_resolution_order``.
+    and then the closure log in ``_resolution_order``. The result holds
+    every page class, the zeros first, in state and basis order.
     """
     resolver = PageResolver(run, r)
-    index, rules, values = run.index, resolver.rule_instances, resolver.values
-    live: List[MonomialClass] = []
-    for st in run.states.values():
-        for m in st.page_classes():
-            if m in rules or index.targets(m, r, st.degree):
-                live.append(m)
-            else:
-                values[m] = ZERO  # empty target in the full E1: forced zero
+    values = resolver.values = dict.fromkeys(
+        itertools.chain.from_iterable(map(DegreeState.page_classes, run.states.values())), ZERO)
+    live = [m for m in run.movers[r] if m in values]
+    for m in live:
+        del values[m]
     for m in live:
         val = resolver._resolve_raw(m)
         if val is _UNKNOWN and resolver.dead_target(m):
@@ -612,7 +680,7 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
     """
     turned = []
     new_boundaries: Dict[TriDegree, List[int]] = {}
-    for d in sorted({degree_of(run.cat, m) for m, v in diffs.items() if v}):
+    for d in sorted({run.degree(m) for m, v in diffs.items() if v}):
         st = run.states[d]
         t_state = run.states.get(d + DIFFERENTIAL_SHIFT)
         externals: Dict[FrozenSet[MonomialClass], int] = {}
@@ -728,7 +796,7 @@ def _page_reduce(run: BocksteinRun, ch: Chain) -> Chain:
     """Project a raw value chain to the current page (mod boundaries)."""
     if not ch.terms:
         return ch
-    st = run.states.get(degree_of(run.cat, next(iter(ch.terms))))
+    st = run.states.get(run.degree(next(iter(ch.terms))))
     if st is None:
         return ch
     vec = 0
@@ -771,7 +839,7 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
             if src.cone is Cone.POSITIVE:
                 continue
             deeper = src._replace(rho=src.rho + 1)
-            if window.stores(degree_of(cat, deeper)) and not diffs.get(deeper):
+            if window.stores(run.degree(deeper)) and not diffs.get(deeper):
                 rep.violations.append(
                     f"page {r}: {display(src)} supports a differential but its "
                     f"rho-division {display(deeper)} does not"
@@ -780,7 +848,7 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 if mono.cone is Cone.POSITIVE:
                     continue
                 deeper = mono._replace(rho=mono.rho + 1)
-                ddeg = degree_of(cat, deeper)
+                ddeg = run.degree(deeper)
                 if not window.stores(ddeg):
                     continue  # tower leaves the window: boundary-marked
                 if not window.stores(ddeg + TriDegree(1, -1, 0)):
@@ -806,14 +874,9 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 )
 
     for d in sorted(run.states):
-        if d.coweight != 1:
-            continue
-        st = run.states[d]
-        for m in st.basis:
-            if not st.monomial_alive(m):
-                continue
-            if window.near_boundary(d, reach=4):
-                continue  # truncated towers near the edge are boundary-marked
+        if d.coweight != 1 or window.near_boundary(d, reach=4):
+            continue  # truncated towers near the edge are boundary-marked
+        for m in run.states[d].alive_classes():
             cur, height = m, 0
             ended_by_zero = False
             while height <= window.max_f:
@@ -821,7 +884,7 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 if nxt is None:
                     ended_by_zero = True
                     break
-                ndeg = degree_of(cat, nxt)
+                ndeg = run.degree(nxt)
                 nst = run.states.get(ndeg)
                 if not window.stores(ndeg):
                     rep.warnings.append(

@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Dict, List, Tuple
 
 from .adams import AdamsPage, region_classes
-from .monomials import Cone, MonomialClass, degree_of, display, module_action
+from .monomials import Cone, MonomialClass, display, module_action
 
 BLUE = "blue"
 GRAY = "gray"
@@ -92,7 +92,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
     classes = region_classes(run)
     spots: Dict[Tuple[int, int], List[MonomialClass]] = {}
     for m in classes:
-        d = degree_of(cat, m)
+        d = run.degree(m)
         spots.setdefault((d.s, d.f), []).append(m)
     placement: Dict[MonomialClass, Tuple[float, float]] = {}
     for (x, y), group in sorted(spots.items()):
@@ -115,7 +115,7 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
             if n is not None and n in alive:
                 x2, y2 = placement[n]
                 doc.lines.append(Line(kind_name, x1, y1, x2, y2))
-        if degree_of(cat, m).s == 0 and m.cone is Cone.POSITIVE:
+        if m.cone is Cone.POSITIVE and run.degree(m).s == 0:
             n = module_action(cat, "h_0", m)
             if n is not None and n in alive:
                 x2, y2 = placement[n]

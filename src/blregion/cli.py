@@ -25,7 +25,7 @@ from .bockstein import (
 from .catalog import CatalogError, load_catalog
 from .charts import chart_from_page, ko_chart, render
 from .degrees import Window
-from .monomials import degree_of, display
+from .monomials import display
 from .rules import load_rule_overrides
 
 USAGE_ERROR, CONSTRAINT_ERROR, IO_ERROR = 2, 3, 4
@@ -111,10 +111,10 @@ def report_tables(page: AdamsPage, kind: str) -> str:
             rows.append([f"2^{k}", display(det), "not computed"])
         return _table(["class", "Mahowald invariant detector", "indeterminacy"], rows)
     if kind == "census":
-        cat = page.cat
+        run = page.run
         rows = []
-        for m in region_classes(page.run):
-            d = degree_of(cat, m)
+        for m in region_classes(run):
+            d = run.degree(m)
             rows.append([str(d.s), str(d.f), str(d.w), display(m)])
         rows.sort(key=lambda r: (int(r[0]), int(r[1]), r[3]))
         return _table(["stem", "filtration", "weight", "class"], rows)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
@@ -215,20 +215,17 @@ class E1Index:
             return _positive_at(self.cat, deg, under)
         return _gamma_at(self.cat, deg, under) + enumerate_q_at(self.cat, deg)
 
-    def targets(self, m: MonomialClass, r: int,
-                deg: Optional[TriDegree] = None) -> Tuple[MonomialClass, ...]:
+    def targets(self, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
         """The classes d_r(m) can hit: its target degree, its filtration plus r.
 
-        ``deg`` is the degree of m when the caller knows it. A positive class
-        hits the positive cone; a divided class hits the gamma and Q parts,
-        and nothing once the filtration turns positive.
+        A positive class hits the positive cone; a divided class hits the
+        gamma and Q parts, and nothing once the filtration turns positive.
         """
         positive = m.cone is Cone.POSITIVE
         filt = (m.rho if positive else -m.rho) + r
         if filt > 0 and not positive:
             return ()
-        if deg is None:
-            deg = degree_of(self.cat, m)
+        deg = degree_of(self.cat, m)
         by_source = self._from[positive]
         hit = by_source.get(deg)
         if hit is None:

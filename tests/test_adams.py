@@ -1,10 +1,16 @@
+import gc
+import weakref
+
 import pytest
 
+from blregion import adams
 from blregion.adams import (
     AmbiguityError,
+    DivisibilityRecord,
     OutOfWindowError,
     adams_no_differentials,
     classical_edge_at_stem,
+    install_hidden_rho_extensions,
     divisibility_table,
     fixed_point_image,
     is_rho_divisible,
@@ -16,7 +22,10 @@ from blregion.adams import (
     two_divisibility,
     underlying_map,
 )
-from blregion.degrees import TriDegree
+from blregion.bockstein import census_report, check_structural_constraints, run_bockstein
+from blregion.charts import chart_from_page, render
+from blregion.cli import REPORT_KINDS, report_tables
+from blregion.degrees import TriDegree, Window
 from blregion.monomials import degree_of, display, make_positive, make_q
 
 
@@ -180,6 +189,68 @@ def test_divisibility_records(page24):
     assert rows[3].max_two_power is None
     assert rows[7].max_two_power == 3
     assert rows[4].fixed_point_generator_exponent == 4
+
+
+@pytest.mark.parametrize("k_max", [8, 20])
+def test_divisibility_table_walks_each_tower_once(page24, monkeypatch, k_max):
+    # the table runs rho_divisibility once per k and reads the 2-divisibility
+    # and the fixed-point image off that list; the per-k public functions
+    # each walk the towers again and must give the same rows
+    walks = []
+    engine = adams.rho_divisibility_engine
+
+    def counting(page, k):
+        walks.append(k)
+        return engine(page, k)
+
+    monkeypatch.setattr(adams, "rho_divisibility_engine", counting)
+    rows = divisibility_table(page24, k_max)
+    assert sorted(walks) == list(range(1, k_max + 1))
+    walks.clear()
+    assert rows == [
+        DivisibilityRecord(k, rho_divisibility(k, page24),
+                           two_divisibility(k, page24) if k >= 5 else None,
+                           fixed_point_image(k, page24))
+        for k in range(1, k_max + 1)
+    ]
+    assert len(walks) > k_max  # the public functions walk again
+
+
+def _finished_run_ref(cat, stem):
+    """Run one window through the checks, the five reports and both charts,
+    and return a weak reference to its run once nothing holds it."""
+    run = run_bockstein(cat, Window(max_stem=stem))
+    for check in (check_structural_constraints, census_report, adams_no_differentials):
+        assert check(run).ok
+    page = install_hidden_rho_extensions(run)
+    refused = []
+    for kind in REPORT_KINDS:
+        try:
+            report_tables(page, kind)
+        except AmbiguityError as exc:
+            refused.append((kind, str(exc)))
+    for kind in ("einf", "e2"):
+        doc = chart_from_page(page if kind == "einf" else run, kind)
+        render(doc, "svg")
+        render(doc, "tikz")
+    ref = weakref.ref(run)
+    del run, page
+    return ref, refused
+
+
+def test_finished_run_is_freed_without_the_cyclic_gc(cat):
+    # a finished run and its page form no reference cycle, so reference
+    # counting frees them: nothing may cache a page fact, or a refusal's
+    # traceback, where it points back at the run
+    gc.collect()
+    gc.disable()
+    try:
+        for stem in (8, 24):
+            ref, refused = _finished_run_ref(cat, stem)
+            assert ref() is None, stem
+            assert [kind for kind, _ in refused] == (["mahowald"] if stem == 8 else [])
+    finally:
+        gc.enable()
 
 
 def test_hidden_links_raise_filtration(cat, page24):

@@ -364,10 +364,42 @@ def test_cached_page_classes_follow_the_rows(cat):
     assert moved > 100
 
 
+def test_home_index_files_every_class_in_its_state(cat, run24):
+    # every stored class has one home, the state of its degree, whose basis
+    # holds it; a class no basis holds falls back to degree_of
+    assert len(run24.home) == sum(len(st.basis) for st in run24.states.values())
+    for m, st in run24.home.items():
+        assert st is run24.states[degree_of(cat, m)] and m in st.basis, display(m)
+        assert run24.degree(m) == st.degree
+    outside = make_q(cat, 30, "h_1^{4+k}", 0)
+    assert outside not in run24.home and run24.degree(outside) == degree_of(cat, outside)
+    assert not run24.monomial_alive(outside)
+
+
+def test_cached_survivors_follow_the_rows(cat):
+    # before each page of a hand-driven run, every state's cached survivors
+    # are the basis classes whose own vector reduces, from scratch, to zero
+    # modulo the cycles and not to zero modulo the boundaries
+    run = fresh_run(cat, Window(max_stem=12), seed_rules(cat))
+    before, moved = {}, 0
+    for r in run.schedule:
+        for d, st in run.states.items():
+            want = tuple(m for t, m in enumerate(st.basis)
+                         if gf2.reduce(1 << t, st.cycles) == 0
+                         and gf2.reduce(1 << t, st.boundaries) != 0)
+            assert st.alive_classes() == want, f"page {r} at {d}"
+            assert all(run.monomial_alive(m) == (m in want) for m in st.basis)
+            moved += d in before and before[d] != want
+            before[d] = want
+        turn_page(run, resolve_page(run, r), r)
+    assert moved > 100
+
+
 def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch):
     # a page class with no rule instance on page r and an empty target is
     # zero without an attempt; every other page class reaches _resolve_raw
-    # once, and the result still holds every page class
+    # once, in state and basis order, and the result still holds every page
+    # class
     attempted = []
     resolve_raw = PageResolver._resolve_raw
 
@@ -383,7 +415,8 @@ def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch
         assert set(diffs) == on_page, r
         rules = run.rule_instances.get(r, {})
         live = {m for m in on_page if m in rules or run.index.targets(m, r)}
-        assert len(attempted) == len(set(attempted)) and set(attempted) == live, r
+        assert attempted == [m for st in run.states.values() for m in st.page_classes()
+                             if m in live], r
         assert all(diffs[m] == ZERO for m in on_page - live), r
         assert live, r
         skipped += len(on_page - live)

@@ -248,7 +248,6 @@ def test_targets_match_filtered_enumeration(cat, run10):
                 for r in run.schedule:
                     want = _filtered_targets(cat, m, r)
                     assert list(run.index.targets(m, r)) == want, (display(m), r)
-                    assert run.index.targets(m, r, st.degree) == run.index.targets(m, r)
                     if not want:
                         continue
                     nonempty += 1
