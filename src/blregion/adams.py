@@ -13,13 +13,16 @@ Every page fact is read from the run's caches: the survivors of a degree
 (``DegreeState.alive_classes``) and the degree of a stored class
 (``BocksteinRun.degree``). ``divisibility_table`` walks the rho-division
 tower once per k and derives the 2-divisibility and the fixed-point image
-from that list; ``AdamsPage`` itself caches nothing.
+from that list. ``adams_no_differentials`` walks each candidate source's h0
+or h1 tower once and keeps the verdict, per source and generator, for the
+rest of its call: the verdict reads neither the target nor the Adams page.
+``AdamsPage`` itself caches nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bockstein import BocksteinRun, Report
 from .catalog import Catalog
@@ -83,6 +86,8 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     """
     window = run.window
     rep = Report()
+    #: (source, generator) -> whether its tower dies in the window
+    verdicts: Dict[Tuple[MonomialClass, str], bool] = {}
     for alpha in region_classes(run):
         d = run.degree(alpha)
         # (a) targets (s-1, f+r, w) must be dead or out of the stored page
@@ -113,7 +118,10 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
             is_h0_tower = alpha.h1 == 0 and alpha.cone is Cone.POSITIVE and not alpha.family
             sym = "h_0" if is_h0_tower else "h_1"
             for beta in sources:
-                if _tower_argument_excludes(run, alpha, beta, sym):
+                excludes = verdicts.get((beta, sym))
+                if excludes is None:
+                    excludes = verdicts[(beta, sym)] = _tower_argument_excludes(run, beta, sym)
+                if excludes:
                     rep.notes.append(
                         f"d_{r}({display(beta)}) -> {display(alpha)} excluded: "
                         f"the source's {sym} tower dies while the target's persists"
@@ -126,17 +134,16 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     return rep
 
 
-def _tower_argument_excludes(
-    run: BocksteinRun, alpha: MonomialClass, beta: MonomialClass, sym: str
-) -> bool:
+def _tower_argument_excludes(run: BocksteinRun, beta: MonomialClass, sym: str) -> bool:
     """Periodicity comparison along sym-multiplication towers.
 
-    A nonzero differential hitting alpha would propagate along the tower:
-    sym^t * beta must stay alive as long as sym^t * alpha does. Region
-    classes belong to the census families, whose towers never terminate
-    (validated by the census), so the source is excluded exactly when its
-    own tower provably dies inside the stored window. Leaving the window
-    unresolved does not exclude.
+    A nonzero differential from beta hitting a region class alpha would
+    propagate along the tower: sym^t * beta must stay alive as long as
+    sym^t * alpha does. Region classes belong to the census families, whose
+    towers never terminate (validated by the census), so the source is
+    excluded exactly when its own tower provably dies inside the stored
+    window, whatever alpha is. Leaving the window unresolved does not
+    exclude.
     """
     cat = run.cat
     cur, steps = beta, 0

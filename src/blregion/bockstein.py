@@ -27,16 +27,18 @@ contradicts them.
 run only on pages r <= 3 and only for gamma classes with rho >= r (any other
 has no target), and each gamma class is tried at one tau exponent n, the
 first multiple of ``TAU_STEP[r]`` at or above its own, through the pure
-class gamma/(rho^j tau^n), which a page builds once per (j, n) with its
-d_r. The positive oracle
+class gamma/(rho^j tau^n). The members of a rho-tower gamma/(rho^j tau^i) x
+differentiate alike, so a page factors each tower once and places its terms
+at each j by lowering their rho-exponents. The positive oracle
 certifies survival by one rule: a class no d_q can hit survives to page r
 exactly when every d_q of it, q < r, is known zero.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives, the basis classes they
-select and its surviving basis classes cached until the rows change, so
-each page re-derives the page classes of only the degrees the last page
-turn touched. Bases never change, so the run files each stored class under
+select and its surviving basis classes cached until the rows change (an E1
+state starts with all three, which its unit-vector cycles fix), so each
+page re-derives the page classes of only the degrees the last page turn
+touched. Bases never change, so the run files each stored class under
 its state once (``BocksteinRun.home``) and lists, once, the classes each
 scheduled page can move (``BocksteinRun.movers``); the page loop, the
 checks and the Adams layer read a stored class's degree from its home.
@@ -266,10 +268,11 @@ class DegreeState:
     Three answers are cached: ``reps()`` (one representative per page
     class), ``page_classes()`` (the basis classes those representatives
     select) and ``alive_classes()`` (the basis classes that are themselves
-    page classes: a cycle and not a boundary). ``cycles`` and
-    ``boundaries`` are read-only tuples, and ``set_rows`` is the only way to
-    replace them; it drops all three caches, so a cached answer always
-    belongs to the current rows.
+    page classes: a cycle and not a boundary). An ``initial`` (E1) state
+    starts with all three filled, since unit-vector cycles and no boundaries
+    fix them. ``cycles`` and ``boundaries`` are read-only tuples, and
+    ``set_rows`` is the only way to replace them; it drops all three
+    caches, so a cached answer always belongs to the current rows.
     """
 
     __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps", "_classes", "_alive")
@@ -282,7 +285,12 @@ class DegreeState:
 
     @classmethod
     def initial(cls, degree: TriDegree, basis: Tuple[MonomialClass, ...]) -> "DegreeState":
-        return cls(degree, basis, [1 << t for t in range(len(basis))])
+        """The E1 state: unit-vector cycles and no boundaries, so its
+        representatives are the cycles and every basis class is a page
+        class and a survivor."""
+        st = cls(degree, basis, [1 << t for t in range(len(basis))])
+        st._reps, st._classes, st._alive = st._cycles, tuple(basis), tuple(basis)
+        return st
 
     @property
     def cycles(self) -> Tuple[int, ...]:
@@ -463,8 +471,8 @@ class PageResolver:
         self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
         self.rule_instances = run.rule_instances.get(r, {})
-        #: (j, n) -> gamma/(rho^j tau^n) and its d_r, for ``_resolve_gamma``
-        self._pure: Dict[Tuple[int, int], Tuple[MonomialClass, Optional[MonomialClass]]] = {}
+        #: rho-free gamma class -> its tower's d_r terms (``_factor_tower``)
+        self._towers: Dict[MonomialClass, object] = {}
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         run = self.run
@@ -487,33 +495,57 @@ class PageResolver:
         return _UNKNOWN  # Q classes: rules, vanishing or transfer
 
     def _resolve_gamma(self, m: MonomialClass):
-        """d_r(m) for m = gamma/(rho^j tau^i) x, through the one tau exponent n.
+        """d_r(m) for m = gamma/(rho^j tau^i) x: its rho-tower's terms placed at j.
 
-        n is the first multiple of ``TAU_STEP[r]`` at or above i, the least
-        n with gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
+        The members of a rho-tower differentiate alike (``_factor_tower``),
+        so the page factors each tower once, under its rho-free class, and
+        each member lowers its terms' rho-exponents from j by their lifts; a
+        term whose exponent would turn negative is zero. Which terms are
+        stored depends on j, so each member makes its own chain.
+        """
+        base = m._replace(rho=0)
+        tower = self._towers.get(base)
+        if tower is None:
+            tower = self._towers[base] = self._factor_tower(base)
+        if tower is _UNKNOWN:
+            return _UNKNOWN
+        j = m.rho
+        return self._chain(t._replace(rho=j - lift) if j >= lift else None for t, lift in tower)
+
+    def _factor_tower(self, base: MonomialClass):
+        """The d_r terms of the tower gamma/(rho^j tau^i) x of the rho-free
+        ``base``, as (term at rho-exponent 0, lift) pairs -- the member at j
+        has the term at rho-exponent j - lift -- or _UNKNOWN.
+
+        The factorization runs through the one tau exponent n, the first
+        multiple of ``TAU_STEP[r]`` at or above i, the least n with
+        gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
         m = tau^(n-i) x * gamma/(rho^j tau^n) gives d_r(m) when the positive
-        oracle knows the first factor alive and its d_r; otherwise d_r(m) is
-        _UNKNOWN and left to dead-target vanishing and transfer. The pure
-        class and its d_r are built once per (j, n) on the page. No larger n
-        is tried: the oracle's verdict on tau^b z for q < r depends on b only
-        modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``.
+        oracle knows the first factor y alive and its d_r; otherwise d_r(m)
+        is _UNKNOWN and left to dead-target vanishing and transfer. No larger
+        n is tried: the oracle's verdict on tau^b z for q < r depends on b
+        only modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``. Nothing
+        here reads j, since ``make_gamma`` reads a rho-exponent only to
+        reject a negative one: y * gamma/(rho^j tau^n) is the j = 0 product
+        at rho-exponent j, a term t of d_r(y) times it is the product at
+        j = t.rho moved to j - t.rho, and y * d_r(gamma/(rho^j tau^n)) is
+        the j = r product moved to j - r.
         """
         cat, oracle, r = self.run.cat, self.run.oracle, self.r
-        j, i = m.rho, m.tau
+        i = base.tau
         n = i + (-i) % TAU_STEP[r]
-        y = make_positive(cat, 0, n - i, m.h0, m.h1, m.family, m.k)
-        pure = self._pure.get((j, n))
-        if pure is None:
-            pure = self._pure[(j, n)] = (make_gamma(cat, j, n), pure_gamma_d(cat, j, n, r))
-        G, dG = pure
-        if y is not None and multiply(cat, y, G) == m and oracle.alive(y, r):
-            dy = oracle.d(y, r)
-            if dy is not _UNKNOWN:
-                terms = [multiply(cat, t, G) for t in dy or []]
-                if dG is not None:
-                    terms.append(multiply(cat, y, dG))
-                return self._chain(terms)
-        return _UNKNOWN
+        y = make_positive(cat, 0, n - i, base.h0, base.h1, base.family, base.k)
+        G = make_gamma(cat, 0, n)
+        if y is None or multiply(cat, y, G) != base or not oracle.alive(y, r):
+            return _UNKNOWN
+        dy = oracle.d(y, r)
+        if dy is _UNKNOWN:
+            return _UNKNOWN
+        terms = [(multiply(cat, t, G._replace(rho=t.rho)), t.rho) for t in dy or []]
+        dG = pure_gamma_d(cat, r, n, r)
+        if dG is not None:
+            terms.append((multiply(cat, y, dG), r))
+        return [(t, lift) for t, lift in terms if t is not None]
 
     def dead_target(self, m: MonomialClass) -> bool:
         """Whether d_r(m) must vanish: every cycle in the span of its candidate

@@ -22,11 +22,11 @@ from blregion.adams import (
     two_divisibility,
     underlying_map,
 )
-from blregion.bockstein import census_report, check_structural_constraints, run_bockstein
+from blregion.bockstein import Report, census_report, check_structural_constraints, run_bockstein
 from blregion.charts import chart_from_page, render
 from blregion.cli import REPORT_KINDS, report_tables
 from blregion.degrees import TriDegree, Window
-from blregion.monomials import degree_of, display, make_positive, make_q
+from blregion.monomials import Cone, degree_of, display, make_positive, make_q
 
 
 def closed_form_fixed_points(k):
@@ -214,6 +214,69 @@ def test_divisibility_table_walks_each_tower_once(page24, monkeypatch, k_max):
         for k in range(1, k_max + 1)
     ]
     assert len(walks) > k_max  # the public functions walk again
+
+
+def _class_by_class_no_differentials(run):
+    """``adams_no_differentials`` walking the source tower for every (target,
+    source) pair, and the (source, generator) pairs it walked, in order."""
+    rep, walked = Report(), []
+    for alpha in region_classes(run):
+        d = run.degree(alpha)
+        for r in range(2, adams.MAX_ADAMS_PAGE + 1):
+            t = TriDegree(d.s - 1, d.f + r, d.w)
+            if t.f > run.window.max_f:
+                break
+            st = run.states.get(t)
+            if st is not None and st.alive_classes():
+                rep.violations.append(
+                    f"unexcluded differential: d_{r}({display(alpha)}) has live "
+                    f"target {display(st.alive_classes()[0])} at {t}"
+                )
+        for r in range(2, adams.MAX_ADAMS_PAGE + 1):
+            if d.f - r < 0:
+                break
+            st = run.states.get(TriDegree(d.s + 1, d.f - r, d.w))
+            if st is None:
+                continue
+            is_h0_tower = alpha.h1 == 0 and alpha.cone is Cone.POSITIVE and not alpha.family
+            sym = "h_0" if is_h0_tower else "h_1"
+            for beta in st.alive_classes():
+                walked.append((beta, sym))
+                if adams._tower_argument_excludes(run, beta, sym):
+                    rep.notes.append(
+                        f"d_{r}({display(beta)}) -> {display(alpha)} excluded: "
+                        f"the source's {sym} tower dies while the target's persists"
+                    )
+                else:
+                    rep.violations.append(
+                        f"unexcluded differential: d_{r}({display(beta)}) could hit "
+                        f"{display(alpha)}"
+                    )
+    return rep, walked
+
+
+def test_adams_check_walks_each_source_tower_once(run24, run40, monkeypatch):
+    # the verdict on a source's tower reads neither the target nor the page
+    # of the differential, so the check walks it once per (source,
+    # generator); its report, notes and their order included, is the
+    # class-by-class walk's
+    for run, distinct in ((run24, 100), (run40, 232)):
+        want, walked = _class_by_class_no_differentials(run)
+        assert len(set(walked)) == distinct and len(walked) > 4 * distinct
+        walks = []
+        walk = adams._tower_argument_excludes
+
+        def counting(run, beta, sym, walk=walk):
+            walks.append((beta, sym))
+            return walk(run, beta, sym)
+
+        monkeypatch.setattr(adams, "_tower_argument_excludes", counting)
+        got = adams_no_differentials(run)
+        monkeypatch.undo()
+        assert sorted(walks) == sorted(set(walked))
+        assert (got.violations, got.warnings, got.notes) == (
+            want.violations, want.warnings, want.notes)
+        assert got.notes and not got.violations
 
 
 def _finished_run_ref(cat, stem):

@@ -6,6 +6,7 @@ import pytest
 
 from blregion import gf2
 from blregion.bockstein import (
+    _UNKNOWN,
     TAU_STEP,
     ZERO,
     BocksteinRun,
@@ -23,8 +24,8 @@ from blregion.bockstein import (
 from blregion.catalog import Catalog
 from blregion.cones import build_e1
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
-from blregion.monomials import (Cone, degree_of, display, make_gamma, make_positive,
-                                make_q)
+from blregion.monomials import (Cone, ProductError, degree_of, display, make_gamma,
+                                make_positive, make_q, multiply)
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
 
 def fresh_run(cat, window, rules):
@@ -90,8 +91,6 @@ def _strip_divisions(cat, src, chain):
     tgt = terms[0]
     m = tgt.rho if tgt.cone is not Cone.POSITIVE else 0
     rho_m = make_positive(cat, rho=m)
-    from blregion.monomials import multiply
-
     s0 = multiply(cat, rho_m, src)
     t0 = multiply(cat, rho_m, tgt)
     return s0, t0
@@ -334,8 +333,15 @@ def test_sparse_turn_matches_dense_reference(cat, window):
 
 
 def test_cached_reps_match_fresh_subquotient(cat):
+    # E1 states start with their representatives cached (the unit vectors),
+    # and every page turn recomputes them for the rows it changes
     pages = 0
     for run, r, diffs in _pages(cat, Window(max_stem=12)):
+        if r == 1:
+            for d, st in run.states.items():
+                assert list(st.reps()) == gf2.subquotient_basis(st.cycles, st.boundaries), (
+                    f"E1 at {d}"
+                )
         turn_page(run, diffs, r)
         for d, st in run.states.items():
             assert list(st.reps()) == gf2.subquotient_basis(st.cycles, st.boundaries), (
@@ -423,6 +429,70 @@ def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch
         attempted.clear()
         turn_page(run, diffs, r)
     assert skipped > 1000
+
+
+def _per_class_gamma(resolver, m):
+    """d_r(m) of one gamma class by its own factorization, with no tower
+    shared: the Leibniz rule over m = tau^(n-i) x * gamma/(rho^j tau^n)."""
+    cat, oracle, r = resolver.run.cat, resolver.run.oracle, resolver.r
+    j, i = m.rho, m.tau
+    n = i + (-i) % TAU_STEP[r]
+    y = make_positive(cat, 0, n - i, m.h0, m.h1, m.family, m.k)
+    G, dG = make_gamma(cat, j, n), pure_gamma_d(cat, j, n, r)
+    if y is not None and multiply(cat, y, G) == m and oracle.alive(y, r):
+        dy = oracle.d(y, r)
+        if dy is not _UNKNOWN:
+            terms = [multiply(cat, t, G) for t in dy or []]
+            if dG is not None:
+                terms.append(multiply(cat, y, dG))
+            return resolver._chain(terms)
+    return _UNKNOWN
+
+
+@pytest.mark.parametrize("window", [Window(max_stem=24, min_coweight=-6),
+                                    Window(max_stem=16, min_coweight=-3, max_coweight=2)],
+                         ids=["s24-cw-6..1", "s16-cw-3..2"])
+def test_tower_placement_equals_per_class_factorization(cat, window):
+    # a page factors each gamma rho-tower once and places its terms at each
+    # rho-exponent j; every gamma mover with j >= r on pages 1..3 must get
+    # the value its own factorization gives, unknowns included
+    compared = derived = 0
+    for run, r, diffs in _pages(cat, window):
+        if r > 3:
+            break
+        resolver = PageResolver(run, r)
+        for m in run.movers[r]:
+            if m.cone is Cone.GAMMA and m.rho >= r:
+                want = _per_class_gamma(resolver, m)
+                assert resolver._resolve_gamma(m) == want, f"{display(m)} on page {r}"
+                compared += 1
+                derived += want is not _UNKNOWN
+        turn_page(run, diffs, r)
+    assert derived > 2000 and compared > derived
+
+
+def test_each_gamma_tower_is_factored_once_per_page(cat, monkeypatch):
+    # one factorization per distinct (page, rho-free class) that reaches
+    # the gamma mechanism, however many members of the tower move
+    factored, reached = [], set()
+    factor, resolve = PageResolver._factor_tower, PageResolver._resolve_gamma
+
+    def counting_factor(self, base):
+        factored.append((self.r, base))
+        return factor(self, base)
+
+    def recording_resolve(self, m):
+        reached.add((self.r, m._replace(rho=0)))
+        return resolve(self, m)
+
+    monkeypatch.setattr(PageResolver, "_factor_tower", counting_factor)
+    monkeypatch.setattr(PageResolver, "_resolve_gamma", recording_resolve)
+    for window, towers in ((Window(max_stem=40), 380), (Window(max_stem=24, min_coweight=-6), 505)):
+        run_bockstein(cat, window)
+        assert len(factored) == len(set(factored)) == towers, window
+        assert set(factored) == reached, window
+        factored.clear()
+        reached.clear()
 
 
 @pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
@@ -537,8 +607,7 @@ def test_injected_non_divisible_differential_flagged(cat):
 def test_leibniz_soundness_on_permanent_multipliers(cat, run24):
     # for u in {h_0, h_1}: d(u * C) = u * d(C) as page classes, wherever all
     # three of C, u*C and the values are stored
-    from blregion.bockstein import ZERO, _page_reduce, chain_of, multiply_chain
-    from blregion.monomials import module_action, multiply
+    from blregion.bockstein import _page_reduce, multiply_chain
 
     checked = 0
     for r, diffs in run24.raw_differentials.items():
@@ -547,14 +616,14 @@ def test_leibniz_soundness_on_permanent_multipliers(cat, run24):
                 u_mono = make_positive(cat, **{"h0" if u == "h_0" else "h1": 1})
                 try:
                     u_src = multiply(cat, u_mono, src)
-                except Exception:
+                except ProductError:
                     continue
                 if u_src is None or u_src not in run24.raw_differentials.get(r, {}):
                     continue
                 lhs = run24.raw_differentials[r][u_src]
                 try:
                     rhs = multiply_chain(cat, run24.window, u_mono, val)
-                except Exception:
+                except ProductError:
                     continue
                 if lhs.external or rhs.external:
                     continue
