@@ -11,17 +11,23 @@ is derived from this extension-decorated page.
 
 Every page fact is read from the run's caches: the survivors of a degree
 (``DegreeState.alive_classes``) and the degree of a stored class
-(``BocksteinRun.degree``). ``divisibility_table`` walks the rho-division
-tower once per k and derives the 2-divisibility and the fixed-point image
-from that list. ``adams_no_differentials`` walks each candidate source's h0
-or h1 tower once and keeps the verdict, per source and generator, for the
-rest of its call: the verdict reads neither the target nor the Adams page.
-``AdamsPage`` itself caches nothing.
+(``BocksteinRun.degree``). ``region_classes`` looks up only the region's
+coweight-0 degrees, not every stored one. ``divisibility_table`` walks the
+rho-division tower once per k and derives the 2-divisibility and the
+fixed-point image from that list. ``adams_no_differentials`` walks each
+candidate source's h0 or h1 tower once and keeps the verdict, per source and
+generator, for the rest of its call: the verdict reads neither the target
+nor the Adams page; it also names each class once per call. An
+``AdamsPage`` lists the classical edge classes by stem on first use and
+keeps the listing for its own life, so the Mahowald report walks the
+underlying classes once, not once per k; nothing carries over from one page
+to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bockstein import BocksteinRun, Report
@@ -58,17 +64,30 @@ class AdamsPage:
     def cat(self) -> Catalog:
         return self.run.cat
 
+    @cached_property
+    def classical_edge(self) -> Dict[int, List[MonomialClass]]:
+        """``classical_edge_by_stem`` up to the window's filtration bound,
+        listed on first use and kept for the page's life."""
+        return classical_edge_by_stem(self.cat, self.run.window.max_f)
+
 
 def region_classes(run: BocksteinRun) -> List[MonomialClass]:
-    """Surviving census monomials: coweight 0, strictly above f = s/2 - 1."""
-    window = run.window
+    """Surviving census monomials: coweight 0, strictly above f = s/2 - 1.
+
+    Looks up the region's degrees (s, f, s) in (s, f) order, for stems 0 to
+    the window's top and filtrations up to its bound, rather than scanning
+    every stored degree. The keys are plain tuples: they hash and compare
+    as the stored TriDegree keys do, without the NamedTuple constructor.
+    """
+    window, states = run.window, run.states
     out = []
-    for d in sorted(run.states):
-        if d.coweight != 0 or d.s < 0 or d.s > window.max_stem:
-            continue
-        if 2 * d.f <= d.s - 2:
-            continue
-        out.extend(run.states[d].alive_classes())
+    for s in range(0, window.max_stem + 1):
+        for f in range(0, window.max_f + 1):
+            if 2 * f <= s - 2:
+                continue
+            st = states.get((s, f, s))
+            if st is not None:
+                out.extend(st.alive_classes())
     return out
 
 
@@ -88,6 +107,7 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     rep = Report()
     #: (source, generator) -> whether its tower dies in the window
     verdicts: Dict[Tuple[MonomialClass, str], bool] = {}
+    name = cache(display)  # each class is named once per call
     for alpha in region_classes(run):
         d = run.degree(alpha)
         # (a) targets (s-1, f+r, w) must be dead or out of the stored page
@@ -101,8 +121,8 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
             survivors = st.alive_classes()
             if survivors:
                 rep.violations.append(
-                    f"unexcluded differential: d_{r}({display(alpha)}) has live "
-                    f"target {display(survivors[0])} at {t}"
+                    f"unexcluded differential: d_{r}({name(alpha)}) has live "
+                    f"target {name(survivors[0])} at {t}"
                 )
         # (b) sources (s+1, f-r, w) in coweight 1
         for r in range(2, MAX_ADAMS_PAGE + 1):
@@ -123,13 +143,13 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
                     excludes = verdicts[(beta, sym)] = _tower_argument_excludes(run, beta, sym)
                 if excludes:
                     rep.notes.append(
-                        f"d_{r}({display(beta)}) -> {display(alpha)} excluded: "
+                        f"d_{r}({name(beta)}) -> {name(alpha)} excluded: "
                         f"the source's {sym} tower dies while the target's persists"
                     )
                 else:
                     rep.violations.append(
-                        f"unexcluded differential: d_{r}({display(beta)}) could hit "
-                        f"{display(alpha)}"
+                        f"unexcluded differential: d_{r}({name(beta)}) could hit "
+                        f"{name(alpha)}"
                     )
     return rep
 
@@ -287,16 +307,18 @@ def _two_divisibility(k: int, rho: Callable[[int], int]) -> int:
     return m
 
 
-def classical_edge_at_stem(cat: Catalog, stem: int, max_f: int) -> List[MonomialClass]:
-    """Tau-free edge monomials at one stem: the classical detectors."""
-    out = []
+def classical_edge_by_stem(cat: Catalog, max_f: int) -> Dict[int, List[MonomialClass]]:
+    """Tau-free edge monomials up to filtration max_f, sorted within each
+    stem: the classical detectors."""
+    out: Dict[int, List[MonomialClass]] = {}
     for f in range(0, max_f + 1):
         for z in _underlying_with_filtration(cat, f):
             if not z.family and z.h1 >= 4:
                 continue  # tau-torsion powers vanish classically
-            if degree_of(cat, z).s == stem:
-                out.append(z)
-    return sorted(out)
+            out.setdefault(degree_of(cat, z).s, []).append(z)
+    for edge in out.values():
+        edge.sort()
+    return out
 
 
 def is_rho_divisible(page: AdamsPage, alpha: MonomialClass) -> bool:
@@ -328,9 +350,7 @@ def underlying_map(page: AdamsPage, alpha: MonomialClass) -> Optional[MonomialCl
             raise AmbiguityError(f"{display(alpha)} is not a region detector")
         return alpha
     candidates = [
-        z
-        for z in classical_edge_at_stem(cat, d.s, page.run.window.max_f)
-        if degree_of(cat, z).f > d.f
+        z for z in page.classical_edge.get(d.s, ()) if degree_of(cat, z).f > d.f
     ]
     if len(candidates) != 1:
         raise AmbiguityError(

@@ -7,6 +7,10 @@ h1-multiplications, vertical lines climb h0 towers with an arrowhead for
 infinite towers, and dashed negative-slope segments are hidden
 rho-extensions. The region boundary f = s/2 - 1 is shaded below. Rendering
 is deterministic: stable ordering and fixed precision throughout.
+
+Dots, lines and arrows are NamedTuples, so lines and arrows sort as their
+field tuples. A chart is built from ``region_classes``, the region's own
+degrees, and each renderer formats each distinct coordinate once per call.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Tuple
 
 from .adams import AdamsPage, region_classes
 from .monomials import Cone, MonomialClass, display, module_action
@@ -23,8 +28,7 @@ BLUE = "blue"
 GRAY = "gray"
 
 
-@dataclass(frozen=True)
-class Dot:
+class Dot(NamedTuple):
     x: int
     y: int
     color: str
@@ -32,8 +36,7 @@ class Dot:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     kind: str  # rho | h0 | h1 | hidden
     x1: float
     y1: float
@@ -42,11 +45,14 @@ class Line:
     dashed: bool = False
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     x: float
     y: float
     direction: str  # up | left
+
+
+#: dots sort by position, then fan-out slot, color and label
+_DOT_ORDER = itemgetter(0, 1, 3, 2, 4)
 
 
 @dataclass
@@ -59,11 +65,9 @@ class ChartDocument:
     arrows: List[Arrow] = field(default_factory=list)
 
     def sorted_parts(self):
-        return (
-            sorted(self.dots, key=lambda d: (d.x, d.y, d.slot, d.color, d.label)),
-            sorted(self.lines, key=lambda l: (l.kind, l.x1, l.y1, l.x2, l.y2, l.dashed)),
-            sorted(self.arrows, key=lambda a: (a.x, a.y, a.direction)),
-        )
+        """Dots, lines and arrows in drawing order; lines and arrows sort as
+        their field tuples."""
+        return sorted(self.dots, key=_DOT_ORDER), sorted(self.lines), sorted(self.arrows)
 
     def dot_census(self) -> Dict[Tuple[int, int], int]:
         out: Dict[Tuple[int, int], int] = {}
@@ -179,7 +183,7 @@ def ko_chart() -> ChartDocument:
             x, y = int(args[0]), int(args[1])
             for i, d in enumerate(doc.dots):
                 if d.x == x and d.y == y and not d.label:
-                    doc.dots[i] = Dot(d.x, d.y, d.color, d.slot, " ".join(args[2:]))
+                    doc.dots[i] = d._replace(label=" ".join(args[2:]))
                     break
         else:
             raise ValueError(f"unknown chart directive {op!r}")
@@ -192,6 +196,22 @@ _UNIT = 28
 _MARGIN = 40
 _COLORS = {BLUE: "#1f4fd8", GRAY: "#8a8a8a"}
 _LINE_COLORS = {"rho": "#c02020", "h0": "#222222", "h1": "#208020", "hidden": "#c02020"}
+
+
+class _Formatted(dict):
+    """``memo[v]`` is ``fmt(v)``, computed once per distinct value v.
+
+    Exact because no chart coordinate is -0.0: it equals 0.0 as a key but
+    formats with a minus sign.
+    """
+
+    def __init__(self, fmt) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, v) -> str:
+        text = self[v] = self.fmt(v)
+        return text
 
 
 def _svg(doc: ChartDocument) -> bytes:
@@ -238,11 +258,13 @@ def _svg(doc: ChartDocument) -> bytes:
             f'text-anchor="middle">{t}</text>\n'
         )
     dots, lines, arrows = doc.sorted_parts()
+    x_text = _Formatted(lambda x: f"{px(x):.1f}")
+    y_text = _Formatted(lambda y: f"{py(y):.1f}")
     for ln in lines:
         dash = ' stroke-dasharray="5,3"' if ln.dashed else ""
         out.append(
-            f'<line x1="{px(ln.x1):.1f}" y1="{py(ln.y1):.1f}" x2="{px(ln.x2):.1f}" '
-            f'y2="{py(ln.y2):.1f}" stroke="{_LINE_COLORS[ln.kind]}" '
+            f'<line x1="{x_text[ln.x1]}" y1="{y_text[ln.y1]}" x2="{x_text[ln.x2]}" '
+            f'y2="{y_text[ln.y2]}" stroke="{_LINE_COLORS[ln.kind]}" '
             f'stroke-width="1.3"{dash}/>\n'
         )
     for ar in arrows:
@@ -266,14 +288,14 @@ def _svg(doc: ChartDocument) -> bytes:
             )
     for d in dots:
         dx, dy = _FAN[d.slot % len(_FAN)]
-        cx, cy = px(d.x + dx), py(d.y + dy)
+        x, y = d.x + dx, d.y + dy
         out.append(
-            f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3.2" '
+            f'<circle cx="{x_text[x]}" cy="{y_text[y]}" r="3.2" '
             f'fill="{_COLORS[d.color]}"/>\n'
         )
         if d.label:
             out.append(
-                f'<text x="{cx:.1f}" y="{cy + 14:.1f}" font-size="9" '
+                f'<text x="{x_text[x]}" y="{py(y) + 14:.1f}" font-size="9" '
                 f'text-anchor="middle">{esc(d.label)}</text>\n'
             )
     out.append(
@@ -299,11 +321,12 @@ def _tikz(doc: ChartDocument) -> bytes:
         f"\\draw[gray!40, very thin] (0,0) grid[step=2] ({doc.x_max},{doc.y_max});\n",
     ]
     dots, lines, arrows = doc.sorted_parts()
+    coord = _Formatted("{:.2f}".format)
     style = {"rho": "red", "h0": "black", "h1": "green!60!black", "hidden": "red, dashed"}
     for ln in lines:
         out.append(
-            f"\\draw[{style[ln.kind]}] ({ln.x1:.2f},{ln.y1:.2f}) -- "
-            f"({ln.x2:.2f},{ln.y2:.2f});\n"
+            f"\\draw[{style[ln.kind]}] ({coord[ln.x1]},{coord[ln.y1]}) -- "
+            f"({coord[ln.x2]},{coord[ln.y2]});\n"
         )
     for ar in arrows:
         if ar.direction == "up":
@@ -318,14 +341,13 @@ def _tikz(doc: ChartDocument) -> bytes:
             )
     for d in dots:
         dx, dy = _FAN[d.slot % len(_FAN)]
+        x, y = d.x + dx, d.y + dy
         color = "blue" if d.color == BLUE else "black!45"
-        out.append(
-            f"\\fill[{color}] ({d.x + dx:.2f},{d.y + dy:.2f}) circle (0.12);\n"
-        )
+        out.append(f"\\fill[{color}] ({coord[x]},{coord[y]}) circle (0.12);\n")
         if d.label:
             safe = d.label.replace("_", "\\_")
             out.append(
-                f"\\node[below, font=\\tiny] at ({d.x + dx:.2f},{d.y + dy - 0.1:.2f}) "
+                f"\\node[below, font=\\tiny] at ({coord[x]},{coord[y - 0.1]}) "
                 f"{{{safe}}};\n"
             )
     out.append("\\end{tikzpicture}\n")

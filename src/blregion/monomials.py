@@ -215,13 +215,20 @@ def multiply(cat: Catalog, a: MonomialClass, b: MonomialClass) -> Optional[Monom
     return make_q(cat, j, b.family, b.k, h1=a.h1)
 
 
+#: the unit classes ``module_action`` multiplies by, one per generator
+_GENERATORS = {
+    "rho": MonomialClass(Cone.POSITIVE, "", 0, 1, 0, 0, 0),
+    "tau": MonomialClass(Cone.POSITIVE, "", 0, 0, 1, 0, 0),
+    "h_0": MonomialClass(Cone.POSITIVE, "", 0, 0, 0, 1, 0),
+    "h_1": MonomialClass(Cone.POSITIVE, "", 0, 0, 0, 0, 1),
+}
+
+
 def module_action(cat: Catalog, gen: str, cls: MonomialClass) -> Optional[MonomialClass]:
     """Action of rho, tau, h_0 or h_1; None encodes zero."""
-    exps = {"rho": (1, 0, 0, 0), "tau": (0, 1, 0, 0), "h_0": (0, 0, 1, 0), "h_1": (0, 0, 0, 1)}
-    if gen not in exps:
+    u = _GENERATORS.get(gen)
+    if u is None:
         raise ValueError(f"unknown generator {gen!r}")
-    r, t, e0, e1 = exps[gen]
-    u = MonomialClass(Cone.POSITIVE, "", 0, r, t, e0, e1)
     return multiply(cat, u, cls)
 
 

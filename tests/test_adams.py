@@ -9,7 +9,7 @@ from blregion.adams import (
     DivisibilityRecord,
     OutOfWindowError,
     adams_no_differentials,
-    classical_edge_at_stem,
+    classical_edge_by_stem,
     install_hidden_rho_extensions,
     divisibility_table,
     fixed_point_image,
@@ -165,11 +165,12 @@ def test_underlying_map_demands_uniqueness(cat, page24):
 
 
 def test_classical_edge_catalog(cat):
-    names = [display(z) for z in classical_edge_at_stem(cat, 7, 20)]
+    edge = classical_edge_by_stem(cat, 20)
+    names = [display(z) for z in edge[7]]
     assert names == ["h_0 h_3", "h_0^2 h_3", "h_0^3 h_3"]
-    names = [display(z) for z in classical_edge_at_stem(cat, 9, 20)]
+    names = [display(z) for z in edge[9]]
     assert sorted(names) == ["P h_1", "h_1 c_0"]
-    assert [display(z) for z in classical_edge_at_stem(cat, 2, 20)] == ["h_1^2"]
+    assert [display(z) for z in edge[2]] == ["h_1^2"]
 
 
 def test_mahowald_invariants(page24):
@@ -327,3 +328,41 @@ def test_region_classes_all_in_region(cat, run24):
     for m in region_classes(run24):
         d = degree_of(cat, m)
         assert d.coweight == 0 and 2 * d.f > d.s - 2 and 0 <= d.s <= 24
+
+
+def _region_classes_full_scan(run):
+    """``region_classes`` as a scan of every stored degree, sorted: the
+    reference for the direct lookup of the region's degrees."""
+    out = []
+    for d in sorted(run.states):
+        if d.coweight != 0 or d.s < 0 or d.s > run.window.max_stem:
+            continue
+        if 2 * d.f <= d.s - 2:
+            continue
+        out.extend(run.states[d].alive_classes())
+    return out
+
+
+@pytest.mark.parametrize("stem, lo, hi", [(24, -6, 1), (16, -3, 2), (24, 0, 0), (8, -2, 1)])
+def test_region_classes_equal_full_scan(cat, stem, lo, hi):
+    run = run_bockstein(cat, Window(max_stem=stem, min_coweight=lo, max_coweight=hi))
+    want = _region_classes_full_scan(run)
+    assert want and region_classes(run) == want
+
+
+def test_mahowald_report_walks_underlying_classes_once_per_page(run24, monkeypatch):
+    # the page lists the classical edge by stem on first use, one walk per
+    # filtration, and keeps it; a fresh page walks again
+    walks = []
+    walk = adams._underlying_with_filtration
+
+    def counting(cat, f):
+        walks.append(f)
+        return walk(cat, f)
+
+    monkeypatch.setattr(adams, "_underlying_with_filtration", counting)
+    max_f = run24.window.max_f
+    report_tables(install_hidden_rho_extensions(run24), "mahowald")
+    assert sorted(walks) == list(range(max_f + 1))
+    report_tables(install_hidden_rho_extensions(run24), "mahowald")
+    assert len(walks) == 2 * (max_f + 1)

@@ -1,3 +1,4 @@
+import math
 import shutil
 import subprocess
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 from blregion.bockstein import expected_census_dimension
-from blregion.charts import BLUE, ChartDocument, Dot, chart_from_page, ko_chart, render
+from blregion.charts import _FAN, BLUE, ChartDocument, Dot, chart_from_page, ko_chart, render
 from blregion.degrees import TriDegree
 
 
@@ -74,6 +75,19 @@ def test_hidden_dash_geometry(page24):
     for l in doc.lines:
         if l.kind == "hidden":
             assert l.x1 - l.x2 == 1 and l.y2 - l.y1 >= 1
+
+
+def test_no_chart_coordinate_is_negative_zero(run24, page24):
+    # the renderers format each distinct coordinate once, keyed by its value;
+    # -0.0 equals 0.0 as a key but formats with a minus sign
+    for doc in (chart_from_page(run24, "e2"), chart_from_page(page24, "einf"), ko_chart()):
+        values = [v for ln in doc.lines for v in ln[1:5]]
+        values += [v for ar in doc.arrows for v in ar[:2]]
+        for d in doc.dots:
+            dx, dy = _FAN[d.slot % len(_FAN)]
+            values += [d.x + dx, d.y + dy, d.y + dy - 0.1]
+        zeros = [v for v in values if v == 0]
+        assert zeros and all(math.copysign(1.0, v) > 0 for v in zeros), doc.title
 
 
 def test_empty_region_chart(cat):
