@@ -42,6 +42,8 @@ touched. Bases never change, so the run files each stored class under
 its state once (``BocksteinRun.home``) and lists, once, the classes each
 scheduled page can move (``BocksteinRun.movers``); the page loop, the
 checks and the Adams layer read a stored class's degree from its home.
+d_r is rho-linear, so a rho-tower's members have targets on the same pages:
+the movers and the positive oracle's empty-target tests read one per tower.
 Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
 ``E1Index.targets(m, r)``, one lookup by target degree, cone group and
 filtration, is the one answer to "which classes can d_r(m) hit". Anything
@@ -229,7 +231,8 @@ class PositiveOracle:
     def _d_raw(self, m: MonomialClass, r: int):
         cat = self.cat
         a, b = m.rho, m.tau
-        if not self.index.targets(m, r):
+        pages = self.index.positive_pages
+        if r not in pages(m):
             return None  # empty target degree: vanishing is forced
         # d_r(rho^a tau^b z) = rho^a d_r(tau^(b-p)) tau^p z when d_r(tau^p z) = 0
         p = 0
@@ -246,7 +249,7 @@ class PositiveOracle:
             fam = cat.families[m.family]
             if fam.permanent_cycle and b >= fam.perm_tau_prefix:
                 p = fam.perm_tau_prefix  # tau^p z is a declared permanent cycle
-            elif self.index.targets(m._replace(rho=0, tau=0), r):
+            elif r in pages(m._replace(rho=0, tau=0)):
                 return _UNKNOWN  # the tau-free class z may support a d_r
         dt = tau_power_d(cat, b - p, r)
         if dt is _UNKNOWN:
@@ -372,11 +375,12 @@ class BocksteinRun:
 
     The E1 index, the rule instances, the page schedule, the positive
     oracle, the home index and the movers of each scheduled page are built
-    once, from the first four fields, and live as long as the run. Bases
-    never change, so ``home`` (each stored E1 class to its degree state)
-    holds for the whole run; ``degree`` and ``monomial_alive`` read it and
-    fall back to ``degree_of`` for a class no stored basis holds, so every
-    answer is the one ``degree_of`` gives.
+    once, from the first four fields, and live as long as the run, as do
+    the index's per-tower caches. Bases never change, so ``home`` (each
+    stored E1 class to its degree state) holds for the whole run;
+    ``degree`` and ``monomial_alive`` read it and fall back to
+    ``degree_of`` for a class no stored basis holds, so every answer is the
+    one ``degree_of`` gives. The movers are read once per rho-tower.
     """
 
     cat: Catalog
@@ -413,12 +417,16 @@ class BocksteinRun:
         self.movers = self._list_movers()
 
     def _list_movers(self) -> Dict[int, Tuple[MonomialClass, ...]]:
-        """``movers``, from the target groups ``E1Index.targets`` reads.
+        """``movers``, with one target read per rho-tower.
 
-        A positive class m moves on page r when its target's positive group
-        has filtration rho + r, a divided class when the gamma and Q group
-        has -rho + r (never once that turns positive, so a rho-free divided
-        class moves only by a rule, and its group is not read).
+        d_r is rho-linear, so the members of a rho-tower (keyed by the class
+        without its rho-exponent, ``m[:3] + m[4:]``) have targets on the
+        same pages. A positive tower's are ``E1Index.positive_pages``. A
+        divided class with rho-exponent j hits the gamma and Q group at
+        filtration r - j, which exists only for r <= j, and on those pages
+        every member agrees: the group of the tower's deepest stored member
+        is read once, and each member keeps its pages r <= j (none for a
+        rho-free divided class, which moves only by a rule).
         """
         ruled: Dict[MonomialClass, List[int]] = {}
         for r, insts in self.rule_instances.items():
@@ -426,21 +434,31 @@ class BocksteinRun:
                 if src in self.home:
                     ruled.setdefault(src, []).append(r)
         movers: Dict[int, List[MonomialClass]] = {r: [] for r in self.schedule}
-        group = self.index.group
-        for st in self.states.values():
-            target = st.degree + DIFFERENTIAL_SHIFT
-            for m in st.basis:
-                positive = m.cone is Cone.POSITIVE
-                filts = group(target, positive) if positive or m.rho else ()
-                lift = m.rho if positive else -m.rho
-                for f in filts:
-                    at = movers.get(f - lift)
+        divided: Dict[tuple, List[int]] = {}
+        group, positive_pages = self.index.group, self.index.positive_pages
+        # backwards through the degree-ordered states: a divided tower's
+        # members lie one stem apart, so its deepest comes first; the lists
+        # are turned round at the end
+        for st in reversed(self.states.values()):
+            for m in reversed(st.basis):
+                if m.cone is Cone.POSITIVE:
+                    pages = positive_pages(m)
+                else:
+                    key, j = m[:3] + m[4:], m.rho
+                    pages = divided.get(key)
+                    if pages is None:
+                        filts = group(st.degree + DIFFERENTIAL_SHIFT, False) if j else ()
+                        pages = divided[key] = sorted(j + f for f in filts if j + f in movers)
+                    elif pages and pages[-1] > j:
+                        pages = [r for r in pages if r <= j]
+                for r in pages:
+                    at = movers.get(r)
                     if at is not None:
                         at.append(m)
                 for r in ruled.get(m, ()):  # a stored rule source's page is scheduled
-                    if r + lift not in filts:
+                    if r not in pages:
                         movers[r].append(m)
-        return {r: tuple(ms) for r, ms in movers.items()}
+        return {r: tuple(reversed(ms)) for r, ms in movers.items()}
 
     def degree(self, m: MonomialClass) -> TriDegree:
         """The degree of m: its home state's, or ``degree_of``'s for a class no
@@ -471,8 +489,9 @@ class PageResolver:
         self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, object] = {}
         self.rule_instances = run.rule_instances.get(r, {})
-        #: rho-free gamma class -> its tower's d_r terms (``_factor_tower``)
-        self._towers: Dict[MonomialClass, object] = {}
+        #: gamma rho-tower (``m[:3] + m[4:]``) -> its d_r terms, each as
+        #: (fields before rho, fields after rho, lift), or _UNKNOWN
+        self._towers: Dict[tuple, object] = {}
 
     def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
         run = self.run
@@ -499,18 +518,22 @@ class PageResolver:
 
         The members of a rho-tower differentiate alike (``_factor_tower``),
         so the page factors each tower once, under its rho-free class, and
-        each member lowers its terms' rho-exponents from j by their lifts; a
+        each member builds its terms with rho-exponent j minus their lifts; a
         term whose exponent would turn negative is zero. Which terms are
         stored depends on j, so each member makes its own chain.
         """
-        base = m._replace(rho=0)
-        tower = self._towers.get(base)
+        key = m[:3] + m[4:]
+        tower = self._towers.get(key)
         if tower is None:
-            tower = self._towers[base] = self._factor_tower(base)
+            tower = self._factor_tower(MonomialClass._make(m[:3] + (0,) + m[4:]))
+            if tower is not _UNKNOWN:
+                tower = [(t[:3], t[4:], lift) for t, lift in tower]
+            self._towers[key] = tower
         if tower is _UNKNOWN:
             return _UNKNOWN
-        j = m.rho
-        return self._chain(t._replace(rho=j - lift) if j >= lift else None for t, lift in tower)
+        j, make = m.rho, MonomialClass._make
+        return self._chain(make(head + (j - lift,) + tail) if j >= lift else None
+                           for head, tail, lift in tower)
 
     def _factor_tower(self, base: MonomialClass):
         """The d_r terms of the tower gamma/(rho^j tau^i) x of the rho-free
@@ -689,6 +712,8 @@ def _filtration_jump_ok(m: MonomialClass, val: Chain, r: int) -> bool:
 
 def _sum_values(st: DegreeState, vec: int, diffs: Dict[MonomialClass, Chain]) -> Chain:
     """The sum of the d_r values on the monomials of ``st`` that ``vec`` selects."""
+    if vec and not vec & (vec - 1):
+        return diffs.get(st.basis[vec.bit_length() - 1], ZERO)
     ch = ZERO
     for t, mono in enumerate(st.basis):
         if (vec >> t) & 1:
@@ -825,11 +850,12 @@ def run_bockstein(
 
 
 def _page_reduce(run: BocksteinRun, ch: Chain) -> Chain:
-    """Project a raw value chain to the current page (mod boundaries)."""
+    """Project a raw value chain to the current page (mod boundaries); with
+    no boundaries in its state (all of page 1) a chain is its own projection."""
     if not ch.terms:
         return ch
     st = run.states.get(run.degree(next(iter(ch.terms))))
-    if st is None:
+    if st is None or not st.boundaries:
         return ch
     vec = 0
     for m in ch.terms:
@@ -856,12 +882,14 @@ class Report:
 def check_structural_constraints(run: BocksteinRun) -> Report:
     """Rho-divisibility of negative-cone differentials, the negative-coweight
     vanishing wedge, and finiteness of coweight-1 h1 towers."""
-    cat, window = run.cat, run.window
+    cat, window, home = run.cat, run.window, run.home
     rep = Report()
 
     # (a) towers carry their differentials: a negative-cone class in a
     # nonzero d_r must have its deeper rho-division in a nonzero d_r as
-    # well, source-side and target-side, down to the window edge.
+    # well, source-side and target-side, down to the window edge. A
+    # division of a stored divided class is stored exactly when it is an
+    # E1 class of the run, that is, when it has a home.
     for r, diffs in sorted(run.differentials.items()):
         target_monos = set()
         for val in diffs.values():
@@ -870,8 +898,8 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
         for src, val in sorted(diffs.items()):
             if src.cone is Cone.POSITIVE:
                 continue
-            deeper = src._replace(rho=src.rho + 1)
-            if window.stores(run.degree(deeper)) and not diffs.get(deeper):
+            deeper = MonomialClass._make(src[:3] + (src.rho + 1,) + src[4:])
+            if deeper in home and not diffs.get(deeper):
                 rep.violations.append(
                     f"page {r}: {display(src)} supports a differential but its "
                     f"rho-division {display(deeper)} does not"
@@ -879,11 +907,11 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
             for mono in sorted(val.terms):
                 if mono.cone is Cone.POSITIVE:
                     continue
-                deeper = mono._replace(rho=mono.rho + 1)
-                ddeg = run.degree(deeper)
-                if not window.stores(ddeg):
+                deeper = MonomialClass._make(mono[:3] + (mono.rho + 1,) + mono[4:])
+                dst = home.get(deeper)
+                if dst is None:
                     continue  # tower leaves the window: boundary-marked
-                if not window.stores(ddeg + TriDegree(1, -1, 0)):
+                if not window.stores(dst.degree + TriDegree(1, -1, 0)):
                     continue  # its would-be source lies outside the window
                 if deeper not in target_monos:
                     rep.violations.append(
@@ -893,13 +921,20 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
 
     # The negative-coweight vanishing wedge. Divided classes riding the
     # stem-0 h0 tower are exempt: the underlying vanishing line only
-    # constrains positive underlying stems.
+    # constrains positive underlying stems. Each underlying class's stem is
+    # computed once, under its (family, k, h0, h1).
+    under_stems: Dict[Tuple[str, int, int, int], int] = {}
     for d in sorted(run.states):
         if d.coweight < 0 and d.s > 0 and 2 * d.f > d.s + 3:
             for m in run.states[d].basis:
-                under_stem = degree_of(cat, m._replace(cone=Cone.POSITIVE, rho=0, tau=0)).s
-                if m.cone is Cone.GAMMA and under_stem == 0:
-                    continue
+                if m.cone is Cone.GAMMA:
+                    under = (m.family, m.k, m.h0, m.h1)
+                    stem = under_stems.get(under)
+                    if stem is None:
+                        stem = under_stems[under] = degree_of(
+                            cat, MonomialClass(Cone.POSITIVE, m.family, m.k, 0, 0, m.h0, m.h1)).s
+                    if stem == 0:
+                        continue
                 rep.violations.append(
                     f"E1 should vanish in {d}: negative coweight above the wedge "
                     f"line, found {display(m)}"
@@ -916,9 +951,8 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 if nxt is None:
                     ended_by_zero = True
                     break
-                ndeg = run.degree(nxt)
-                nst = run.states.get(ndeg)
-                if not window.stores(ndeg):
+                nst = home.get(nxt)
+                if nst is None and not window.stores(degree_of(cat, nxt)):
                     rep.warnings.append(
                         f"h1 tower on {display(m)} leaves the window unresolved"
                     )

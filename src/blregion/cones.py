@@ -14,7 +14,8 @@ call either directly: it asks an ``E1Index`` for the classes d_r(m) can
 hit. The index groups each target degree it is asked about by cone group
 and filtration, once per run: a stored degree from the run's stored basis,
 any other through the enumerators, from the underlying classes of its Adams
-filtration, listed once per filtration.
+filtration, listed once per filtration. It answers "on which pages does a
+positive class have a target" once per rho-tower (``positive_pages``).
 
 Construction is a pure function of (catalog, window) and its result comes
 in sorted degree order.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
@@ -165,8 +166,10 @@ class E1Index:
     For each (degree, group) it is asked about, the index keeps one map
     from Bockstein filtration to that filtration's sorted classes, and for
     each source degree it is asked about, the map of its target degree, so
-    ``targets`` adds no degrees. Every empty group shares one read-only map
-    (6,129 of the 11,458 groups of a stem-40 run). ``stored`` maps each
+    ``targets`` adds no degrees. Every empty group shares one read-only map.
+    A run reads one group per rho-tower, not per class (``positive_pages``
+    and ``BocksteinRun.movers``): a stem-40 run builds 1,954 groups, 144 of
+    them through the per-degree enumerators. ``stored`` maps each
     nonempty stored degree of ``window`` to an object whose ``basis`` is
     that degree's sorted E1 basis (the run's degree states, built from
     ``build_e1``); one pass over it fills both groups of a stored degree.
@@ -183,6 +186,8 @@ class E1Index:
         self._under: Dict[int, List[Tuple[MonomialClass, TriDegree]]] = {}
         #: source degree -> its target degree's group, indexed by ``positive``
         self._from: Tuple[Dict[TriDegree, Mapping[int, Tuple[MonomialClass, ...]]], ...] = ({}, {})
+        #: positive rho-tower (a class without its rho-exponent) -> ``positive_pages``
+        self._pages: Dict[tuple, FrozenSet[int]] = {}
 
     def group(self, deg: TriDegree, positive: bool) -> Mapping[int, Tuple[MonomialClass, ...]]:
         """The classes of one cone group of E1 in ``deg``, by filtration: the
@@ -231,6 +236,23 @@ class E1Index:
         if hit is None:
             hit = by_source[deg] = self.group(deg + DIFFERENTIAL_SHIFT, positive)
         return hit.get(filt, ())
+
+    def positive_pages(self, m: MonomialClass) -> FrozenSet[int]:
+        """The pages r >= 1 on which d_r of the positive class m has a target:
+        ``r in positive_pages(m)`` exactly when ``targets(m, r)`` is nonempty.
+
+        The classes of filtration a + r in the target degree of rho^a x are
+        rho^(a + r) times the rho-free classes of one degree, whatever a is,
+        so every member of m's rho-tower has the same pages; they are read
+        once per tower, from the first member asked about.
+        """
+        key = m[:3] + m[4:]
+        hit = self._pages.get(key)
+        if hit is None:
+            a = m.rho
+            group = self.group(degree_of(self.cat, m) + DIFFERENTIAL_SHIFT, True)
+            hit = self._pages[key] = frozenset(f - a for f in group if f > a)
+        return hit
 
 
 def _by_filtration(basis: Iterable[MonomialClass]) -> Mapping[int, Tuple[MonomialClass, ...]]:

@@ -81,10 +81,12 @@ class Window:
         return self.min_coweight - self.coweight_pad
 
     def stores(self, d: TriDegree) -> bool:
+        """Whether d lies in the stored box, in plain arithmetic (no properties)."""
+        s, f, w = d
         return (
-            self.min_stem <= d.s <= self.stored_max_stem
-            and 0 <= d.f <= self.max_f
-            and self.stored_min_coweight <= d.coweight <= self.max_coweight
+            self.min_stem <= s <= self.max_stem + self.stem_pad
+            and 0 <= f <= self.max_stem + 2
+            and self.min_coweight - self.coweight_pad <= s - w <= self.max_coweight
         )
 
     def asserts(self, d: TriDegree) -> bool:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from blregion import gf2
+from blregion import cones, gf2
 from blregion.bockstein import (
     _UNKNOWN,
     TAU_STEP,
@@ -12,6 +12,7 @@ from blregion.bockstein import (
     BocksteinRun,
     DegreeState,
     PageResolver,
+    Report,
     census_report,
     check_structural_constraints,
     expected_census_dimension,
@@ -25,7 +26,7 @@ from blregion.catalog import Catalog
 from blregion.cones import build_e1
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 from blregion.monomials import (Cone, ProductError, degree_of, display, make_gamma,
-                                make_positive, make_q, multiply)
+                                make_positive, make_q, module_action, multiply)
 from blregion.rules import parse_monomial, parse_rule_line, seed_rules
 
 def fresh_run(cat, window, rules):
@@ -431,6 +432,78 @@ def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch
     assert skipped > 1000
 
 
+def _per_class_movers(run):
+    """``run.movers`` listed class by class: one target group read for each
+    stored class, the listing before the run read one per rho-tower."""
+    ruled = {}
+    for r, insts in run.rule_instances.items():
+        for src in insts:
+            if src in run.home:
+                ruled.setdefault(src, []).append(r)
+    movers = {r: [] for r in run.schedule}
+    for st in run.states.values():
+        target = st.degree + DIFFERENTIAL_SHIFT
+        for m in st.basis:
+            positive = m.cone is Cone.POSITIVE
+            filts = run.index.group(target, positive) if positive or m.rho else ()
+            lift = m.rho if positive else -m.rho
+            for f in filts:
+                at = movers.get(f - lift)
+                if at is not None:
+                    at.append(m)
+            for r in ruled.get(m, ()):
+                if r + lift not in filts:
+                    movers[r].append(m)
+    return {r: tuple(ms) for r, ms in movers.items()}
+
+
+TOWER_WINDOWS = [Window(max_stem=8), Window(max_stem=16, min_coweight=-3, max_coweight=2),
+                 Window(max_stem=24, min_coweight=-6), Window(max_stem=24, min_coweight=0,
+                                                              max_coweight=0),
+                 Window(max_stem=40)]
+
+
+@pytest.mark.parametrize("window", TOWER_WINDOWS,
+                         ids=["s8", "s16-cw-3..2", "s24-cw-6..1", "s24-cw0..0", "s40"])
+def test_tower_movers_and_target_tests_equal_the_per_class_ones(cat, window):
+    # a run reads one target group per rho-tower; its movers must be the
+    # per-class listing, in order, on every scheduled page, and a tower's
+    # positive pages must answer every member's empty-target test
+    run = fresh_run(cat, window, seed_rules(cat))
+    want = _per_class_movers(run)
+    assert list(run.movers) == run.schedule == list(want)
+    for r in run.schedule:
+        assert run.movers[r] == want[r], f"page {r}"
+    assert sum(map(len, want.values())) > 100
+    index, checked = run.index, 0
+    for st in run.states.values():
+        for m in st.basis:
+            if m.cone is not Cone.POSITIVE:
+                continue
+            for c in (m, m._replace(rho=0, tau=0)):
+                for r in (1, 2, 3):
+                    assert (r in index.positive_pages(c)) == bool(index.targets(c, r)), \
+                        f"{display(c)} on page {r}"
+                    checked += 1
+    assert checked > 500
+
+
+def test_each_rho_tower_reads_one_target_group(cat, monkeypatch):
+    # a stem-40 run builds 1,954 E1Index groups and calls the public
+    # enumerators 45 times, once for each gamma and Q group outside the
+    # window (the cones.enumerate_calls metric); reading one group per
+    # stored class, it built 11,458 groups and made 1,936 enumerator calls
+    calls = []
+    for name in ("enumerate_positive_at", "enumerate_gamma_at", "enumerate_q_at"):
+        def counting(c, deg, _enumerate=getattr(cones, name)):
+            calls.append(deg)
+            return _enumerate(c, deg)
+        monkeypatch.setattr(cones, name, counting)
+    run = run_bockstein(cat, Window(max_stem=40))
+    assert len(run.index._groups) == 1954
+    assert len(calls) == 45
+
+
 def _per_class_gamma(resolver, m):
     """d_r(m) of one gamma class by its own factorization, with no tower
     shared: the Leibniz rule over m = tau^(n-i) x * gamma/(rho^j tau^n)."""
@@ -593,6 +666,108 @@ def test_leibniz_closure_entry_point(cat):
         make_positive(cat, rho=1, h0=3)
     }
     assert not diffs[make_positive(cat, h1=2)]
+
+
+def _per_term_structural(run):
+    """``check_structural_constraints`` with a degree and a window test for
+    every term, as it read before division checks became home lookups."""
+    cat, window = run.cat, run.window
+    rep = Report()
+    for r, diffs in sorted(run.differentials.items()):
+        target_monos = set()
+        for val in diffs.values():
+            target_monos.update(val.terms)
+            target_monos.update(val.external)
+        for src, val in sorted(diffs.items()):
+            if src.cone is Cone.POSITIVE:
+                continue
+            deeper = src._replace(rho=src.rho + 1)
+            if window.stores(run.degree(deeper)) and not diffs.get(deeper):
+                rep.violations.append(
+                    f"page {r}: {display(src)} supports a differential but its "
+                    f"rho-division {display(deeper)} does not"
+                )
+            for mono in sorted(val.terms):
+                if mono.cone is Cone.POSITIVE:
+                    continue
+                deeper = mono._replace(rho=mono.rho + 1)
+                ddeg = run.degree(deeper)
+                if not window.stores(ddeg):
+                    continue
+                if not window.stores(ddeg + TriDegree(1, -1, 0)):
+                    continue
+                if deeper not in target_monos:
+                    rep.violations.append(
+                        f"page {r}: {display(mono)} receives a differential but its "
+                        f"rho-division {display(deeper)} receives none"
+                    )
+    for d in sorted(run.states):
+        if d.coweight < 0 and d.s > 0 and 2 * d.f > d.s + 3:
+            for m in run.states[d].basis:
+                under_stem = degree_of(cat, m._replace(cone=Cone.POSITIVE, rho=0, tau=0)).s
+                if m.cone is Cone.GAMMA and under_stem == 0:
+                    continue
+                rep.violations.append(
+                    f"E1 should vanish in {d}: negative coweight above the wedge "
+                    f"line, found {display(m)}"
+                )
+    for d in sorted(run.states):
+        if d.coweight != 1 or window.near_boundary(d, reach=4):
+            continue
+        for m in run.states[d].alive_classes():
+            cur, height = m, 0
+            ended_by_zero = False
+            while height <= window.max_f:
+                nxt = module_action(cat, "h_1", cur)
+                if nxt is None:
+                    ended_by_zero = True
+                    break
+                ndeg = run.degree(nxt)
+                nst = run.states.get(ndeg)
+                if not window.stores(ndeg):
+                    rep.warnings.append(
+                        f"h1 tower on {display(m)} leaves the window unresolved"
+                    )
+                    break
+                if nst is None or not nst.monomial_alive(nxt):
+                    ended_by_zero = True
+                    break
+                cur, height = nxt, height + 1
+            if not ended_by_zero and height > window.max_f:
+                rep.violations.append(f"unbounded h1 tower on {display(m)} in coweight 1")
+    return rep
+
+
+def test_structural_check_equals_the_per_term_one_on_clean_runs(cat, run40):
+    for run in (run_bockstein(cat, Window(max_stem=24, min_coweight=-6)), run40):
+        got, want = check_structural_constraints(run), _per_term_structural(run)
+        assert (got.violations, got.warnings) == (want.violations, want.warnings) == ([], [])
+
+
+def test_structural_check_equals_the_per_term_one_on_injected_failures(cat):
+    # dropping the value of a deeper rho-division breaks the tower source-side
+    # (its shallower source keeps a value) and target-side (the deeper
+    # terms it hit are hit no more), here on pages 2 and 4; three E1 classes
+    # land above the wedge line, one of them a gamma class exempt on the
+    # stem-0 h0 tower
+    run = run_bockstein(cat, Window(max_stem=16, min_coweight=-6))
+    for r in (2, 4):
+        diffs = run.differentials[r]
+        src = next(m for m in sorted(diffs) if m.cone is not Cone.POSITIVE
+                   and m._replace(rho=m.rho + 1) in diffs)
+        del diffs[src._replace(rho=src.rho + 1)]
+    wedge = TriDegree(2, 4, 3)
+    assert wedge not in run.states
+    run.states[wedge] = DegreeState.initial(wedge, (
+        make_positive(cat, h1=1), make_gamma(cat, 1, 2, h0=3), make_gamma(cat, 1, 2, h1=2)))
+    got, want = check_structural_constraints(run), _per_term_structural(run)
+    assert (got.violations, got.warnings) == (want.violations, want.warnings)
+    for r in (2, 4):
+        assert any(v.startswith(f"page {r}:") and "supports a differential" in v
+                   for v in got.violations), r
+        assert any(v.startswith(f"page {r}:") and "receives a differential" in v
+                   for v in got.violations), r
+    assert sum(v.startswith(f"E1 should vanish in {wedge}") for v in got.violations) == 2
 
 
 def test_injected_non_divisible_differential_flagged(cat):
