@@ -44,13 +44,13 @@ scheduled page can move (``BocksteinRun.movers``); the page loop, the
 checks and the Adams layer read a stored class's degree from its home.
 d_r is rho-linear, so a rho-tower's members have targets on the same pages:
 the movers and the positive oracle's empty-target tests read one per tower.
-Every E1 basis the mechanisms consult comes from the run's ``E1Index``, and
-``E1Index.targets(m, r)``, one lookup by target degree, cone group and
-filtration, is the one answer to "which classes can d_r(m) hit". Anything
-still unresolved, with a live target, falls under the
-engine's declared closure assumption -- no differentials beyond the seeded
-rules, the closed forms and their closure -- and is assigned zero with a log
-entry, while conflicting derivations raise instead of guessing. No check
+The run's ``E1Index`` says which filtrations a cone group of a target degree
+occupies; the classes d_r(m) can hit are listed, where a mechanism needs
+them, from the target's degree state (``targets_in``), so the states hold
+the run's one copy of E1. Anything still unresolved, with a live target,
+falls under the engine's declared closure assumption -- no differentials
+beyond the seeded rules, the closed forms and their closure -- and is
+assigned zero with a log entry, while conflicting derivations raise instead of guessing. No check
 validates the logged zeros as such: the census compares only the asserted
 coweight-0 page dimensions, the structural checks read rho-divisibility of
 the nonzero negative-cone differentials and the coweight-1 h1 towers, and
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Container, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from . import gf2
@@ -117,30 +117,27 @@ class Chain:
 ZERO = Chain()
 
 
-def chain_of(cat: Catalog, window: Window, monos: Iterable[Optional[MonomialClass]],
-             home: Container[MonomialClass] = frozenset()) -> Chain:
-    """The F2 sum of ``monos`` (None is zero). A class in ``home`` (a run's
-    stored classes) is stored without a ``degree_of`` call. An empty sum
-    returns ``ZERO``, so the many zero values a page resolves share one
-    object."""
+def chain_of(run: "BocksteinRun", monos: Iterable[Optional[MonomialClass]]) -> Chain:
+    """The F2 sum of ``monos`` (None is zero), each term stored or external
+    in ``run``'s window. A class with a home in the run is stored without a
+    ``degree_of`` call. An empty sum returns ``ZERO``, so the many zero
+    values a page resolves share one object."""
+    cat, stores, home = run.cat, run.window.stores, run.home
     terms: Set[MonomialClass] = set()
     external: Set[MonomialClass] = set()
     for m in monos:
         if m is None:
             continue
-        bucket = terms if m in home or window.stores(degree_of(cat, m)) else external
+        bucket = terms if m in home or stores(degree_of(cat, m)) else external
         bucket.symmetric_difference_update({m})
     if not terms and not external:
         return ZERO
     return Chain(frozenset(terms), frozenset(external))
 
 
-def multiply_chain(cat: Catalog, window: Window, factor: MonomialClass, ch: Chain,
-                   home: Container[MonomialClass] = frozenset()) -> Chain:
+def multiply_chain(run: "BocksteinRun", factor: MonomialClass, ch: Chain) -> Chain:
     return chain_of(
-        cat, window, (multiply(cat, factor, m) for m in itertools.chain(ch.terms, ch.external)),
-        home,
-    )
+        run, (multiply(run.cat, factor, m) for m in itertools.chain(ch.terms, ch.external)))
 
 
 # --- the tau-power differentials in closed form ---------------------------------
@@ -361,6 +358,15 @@ class DegreeState:
         return m in self.alive_classes()
 
 
+def targets_in(st: DegreeState, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
+    """The classes d_r(m) can hit, when ``st`` is the state of m's target
+    degree: those of m's cone group (the positive cone, or the gamma and Q
+    parts) at filtration ``m.filtration() + r``, in basis order."""
+    positive, filt = m.cone is Cone.POSITIVE, m.filtration() + r
+    return tuple(c for c in st.basis
+                 if c.filtration() == filt and (c.cone is Cone.POSITIVE) is positive)
+
+
 @dataclass
 class AssumptionLog:
     entries: List[Tuple[int, str]] = field(default_factory=list)
@@ -376,11 +382,11 @@ class BocksteinRun:
     The E1 index, the rule instances, the page schedule, the positive
     oracle, the home index and the movers of each scheduled page are built
     once, from the first four fields, and live as long as the run, as do
-    the index's per-tower caches. Bases never change, so ``home`` (each
-    stored E1 class to its degree state) holds for the whole run;
-    ``degree`` and ``monomial_alive`` read it and fall back to
-    ``degree_of`` for a class no stored basis holds, so every answer is the
-    one ``degree_of`` gives. The movers are read once per rho-tower.
+    the index's caches. Bases never change, so ``home`` (each stored E1
+    class to its degree state) holds for the whole run; ``degree`` reads
+    it and falls back to ``degree_of`` for a class no stored basis holds,
+    so every answer is the one ``degree_of`` gives, and ``monomial_alive``
+    reads the state of that degree. The movers are read once per rho-tower.
     """
 
     cat: Catalog
@@ -393,7 +399,7 @@ class BocksteinRun:
     #: values as resolved, before the page projection
     raw_differentials: Dict[int, Dict[MonomialClass, Chain]] = field(default_factory=dict)
     assumptions: AssumptionLog = field(default_factory=AssumptionLog)
-    #: E1 bases of every degree the run asks about
+    #: the filtrations of each cone group of every degree the run asks about
     index: E1Index = field(init=False, repr=False)
     oracle: PositiveOracle = field(init=False, repr=False)
     #: the rule instances a lookup can read (``index_rules``)
@@ -403,7 +409,7 @@ class BocksteinRun:
     #: each stored E1 class -> the state of its degree
     home: Dict[MonomialClass, DegreeState] = field(init=False, repr=False)
     #: scheduled page -> the stored classes with a rule instance or a nonempty
-    #: target there (``E1Index.targets``), in state and basis order
+    #: target there, in state and basis order
     movers: Dict[int, Tuple[MonomialClass, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -424,9 +430,9 @@ class BocksteinRun:
         same pages. A positive tower's are ``E1Index.positive_pages``. A
         divided class with rho-exponent j hits the gamma and Q group at
         filtration r - j, which exists only for r <= j, and on those pages
-        every member agrees: the group of the tower's deepest stored member
-        is read once, and each member keeps its pages r <= j (none for a
-        rho-free divided class, which moves only by a rule).
+        every member agrees: the group filtrations of the tower's deepest
+        stored member are read once, and each member keeps its pages r <= j
+        (none for a rho-free divided class, which moves only by a rule).
         """
         ruled: Dict[MonomialClass, List[int]] = {}
         for r, insts in self.rule_instances.items():
@@ -435,7 +441,7 @@ class BocksteinRun:
                     ruled.setdefault(src, []).append(r)
         movers: Dict[int, List[MonomialClass]] = {r: [] for r in self.schedule}
         divided: Dict[tuple, List[int]] = {}
-        group, positive_pages = self.index.group, self.index.positive_pages
+        filtrations, positive_pages = self.index.filtrations, self.index.positive_pages
         # backwards through the degree-ordered states: a divided tower's
         # members lie one stem apart, so its deepest comes first; the lists
         # are turned round at the end
@@ -447,7 +453,7 @@ class BocksteinRun:
                     key, j = m[:3] + m[4:], m.rho
                     pages = divided.get(key)
                     if pages is None:
-                        filts = group(st.degree + DIFFERENTIAL_SHIFT, False) if j else ()
+                        filts = filtrations(st.degree + DIFFERENTIAL_SHIFT, False) if j else ()
                         pages = divided[key] = sorted(j + f for f in filts if j + f in movers)
                     elif pages and pages[-1] > j:
                         pages = [r for r in pages if r <= j]
@@ -471,9 +477,7 @@ class BocksteinRun:
         return st.dim() if st else 0
 
     def monomial_alive(self, m: MonomialClass) -> bool:
-        st = self.home.get(m)
-        if st is None:
-            st = self.states.get(degree_of(self.cat, m))
+        st = self.states.get(self.degree(m))
         return st is not None and m in st.alive_classes()
 
 
@@ -493,20 +497,16 @@ class PageResolver:
         #: (fields before rho, fields after rho, lift), or _UNKNOWN
         self._towers: Dict[tuple, object] = {}
 
-    def _chain(self, monos: Iterable[Optional[MonomialClass]]) -> Chain:
-        run = self.run
-        return chain_of(run.cat, run.window, monos, run.home)
-
     def _resolve_raw(self, m: MonomialClass):
         """d_r(m) or _UNKNOWN for a class with a rule instance on page r or a
         nonempty target (``resolve_page`` zeroes every other class); the
         gamma mechanisms see only r <= 3, rho >= r."""
         inst = self.rule_instances.get(m)
         if inst is not None:
-            return self._chain([inst.target] if inst.target else [])
+            return chain_of(self.run, [inst.target] if inst.target else [])
         if m.cone is Cone.POSITIVE:
             val = self.run.oracle.d(m, self.r)
-            return _UNKNOWN if val is _UNKNOWN else self._chain(val or [])
+            return _UNKNOWN if val is _UNKNOWN else chain_of(self.run, val or [])
         if self.scheduled:
             return _UNKNOWN  # pages >= 4: transfer passes may still determine it
         if m.cone is Cone.GAMMA:
@@ -532,8 +532,8 @@ class PageResolver:
         if tower is _UNKNOWN:
             return _UNKNOWN
         j, make = m.rho, MonomialClass._make
-        return self._chain(make(head + (j - lift,) + tail) if j >= lift else None
-                           for head, tail, lift in tower)
+        return chain_of(self.run, (make(head + (j - lift,) + tail) if j >= lift else None
+                                   for head, tail, lift in tower))
 
     def _factor_tower(self, base: MonomialClass):
         """The d_r terms of the tower gamma/(rho^j tau^i) x of the rho-free
@@ -582,7 +582,7 @@ class PageResolver:
         st = run.states.get(run.degree(m) + DIFFERENTIAL_SHIFT)
         if st is None:
             return False
-        candidates = run.index.targets(m, self.r)
+        candidates = targets_in(st, m, self.r)
         _, kernel = gf2.solve([gf2.reduce(st.vector(c), st.cycles) for c in candidates], 0)
         return st.sums_are_boundaries(candidates, kernel)
 
@@ -596,8 +596,7 @@ class PageResolver:
                 continue
             for u, nb in self._bump_parents(m):
                 if nb in self.values and run.monomial_alive(nb):
-                    self.values[m] = multiply_chain(run.cat, run.window, u, self.values[nb],
-                                                    run.home)
+                    self.values[m] = multiply_chain(run, u, self.values[nb])
                     changed = True
                     break
             if m in self.values:
@@ -633,13 +632,12 @@ class PageResolver:
         run, cat, r = self.run, self.run.cat, self.r
         if shallow_value.external:
             return _UNKNOWN
-        candidates = run.index.targets(m, r)
         target_deg = run.degree(m) + DIFFERENTIAL_SHIFT
-        shallow_deg = target_deg + TriDegree(-1, 0, -1)
         t_state = run.states.get(target_deg)
-        s_state = run.states.get(shallow_deg)
+        s_state = run.states.get(target_deg + TriDegree(-1, 0, -1))
         if t_state is None or s_state is None:
             return _UNKNOWN
+        candidates = targets_in(t_state, m, r)
         rho = make_positive(cat, rho=1)
         cols = []
         for c in candidates:
@@ -662,7 +660,7 @@ class PageResolver:
         if not t_state.sums_are_boundaries(candidates, kernel):
             return _UNKNOWN  # genuinely ambiguous in the page
         picked = [candidates[c_i] for c_i in range(len(candidates)) if (sol >> c_i) & 1]
-        return self._chain(picked)
+        return chain_of(run, picked)
 
 
 def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:

@@ -9,13 +9,14 @@ holds: it walks the underlying classes of each filtration once, emits every
 class the stored box allows in the degree its construction gives, and
 buckets them by degree. Exact per-degree enumerators answer "what does E1
 contain in this tridegree" anywhere, by filtering candidates; they are the
-reference ``build_e1`` is tested against. The differential engine does not
-call either directly: it asks an ``E1Index`` for the classes d_r(m) can
-hit. The index groups each target degree it is asked about by cone group
-and filtration, once per run: a stored degree from the run's stored basis,
-any other through the enumerators, from the underlying classes of its Adams
-filtration, listed once per filtration. It answers "on which pages does a
-positive class have a target" once per rho-tower (``positive_pages``).
+reference ``build_e1`` is tested against. The differential engine lists
+the classes d_r(m) can hit from the run's degree states, the one copy of
+E1 it keeps, and asks an ``E1Index`` only which filtrations one cone group
+of a target degree occupies, once per degree and group for the run: a
+stored degree from the run's stored basis, any other through the
+enumerators, from the underlying classes of its Adams filtration, listed
+once per filtration. It answers "on which pages does a positive class have
+a target" once per rho-tower (``positive_pages``).
 
 Construction is a pure function of (catalog, window) and its result comes
 in sorted degree order.
@@ -24,8 +25,7 @@ in sorted degree order.
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .catalog import INF_HEIGHT, Q_SHIFT, Catalog
 from .degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
@@ -154,62 +154,46 @@ def enumerate_e1_at(cat: Catalog, deg: TriDegree) -> List[MonomialClass]:
                   + enumerate_q_at(cat, deg))
 
 
-#: the filtration map of every empty cone group, shared and read-only
-_NO_CLASSES: Mapping[int, Tuple[MonomialClass, ...]] = MappingProxyType({})
-
-
 class E1Index:
-    """The classes d_r can hit, by target degree, cone group and filtration.
+    """Which Bockstein filtrations each cone group of E1 occupies, by degree.
 
     A positive class hits the positive cone of its target degree, a divided
     class the gamma and Q parts together; these are the two cone groups.
-    For each (degree, group) it is asked about, the index keeps one map
-    from Bockstein filtration to that filtration's sorted classes, and for
-    each source degree it is asked about, the map of its target degree, so
-    ``targets`` adds no degrees. Every empty group shares one read-only map.
-    A run reads one group per rho-tower, not per class (``positive_pages``
-    and ``BocksteinRun.movers``): a stem-40 run builds 1,954 groups, 144 of
-    them through the per-degree enumerators. ``stored`` maps each
-    nonempty stored degree of ``window`` to an object whose ``basis`` is
-    that degree's sorted E1 basis (the run's degree states, built from
-    ``build_e1``); one pass over it fills both groups of a stored degree.
-    Any other degree is grouped by the per-degree enumerators, from the
-    underlying classes of its Adams filtration (``_underlying``), listed
-    once per filtration for the run.
+    The index keeps one answer per (degree, group) it is asked about, the
+    set of filtrations the group's classes have; the classes themselves
+    live only in the run's degree states. A run asks once per rho-tower,
+    not per class (``positive_pages`` and ``BocksteinRun.movers``): a
+    stem-40 run keeps 401 filtration sets. ``stored`` maps each nonempty
+    stored degree of ``window`` to an object whose ``basis`` is that
+    degree's sorted E1 basis (the run's degree states, built from
+    ``build_e1``). Any other degree is read through the per-degree
+    enumerators, from the underlying classes of its Adams filtration
+    (``_underlying``), listed once per filtration for the run.
     """
 
     def __init__(self, cat: Catalog, window: Window, stored: Mapping[TriDegree, object]):
         self.cat = cat
         self.window = window
         self.stored = stored
-        self._groups: Dict[Tuple[TriDegree, bool], Mapping[int, Tuple[MonomialClass, ...]]] = {}
+        self._filtrations: Dict[Tuple[TriDegree, bool], FrozenSet[int]] = {}
         self._under: Dict[int, List[Tuple[MonomialClass, TriDegree]]] = {}
-        #: source degree -> its target degree's group, indexed by ``positive``
-        self._from: Tuple[Dict[TriDegree, Mapping[int, Tuple[MonomialClass, ...]]], ...] = ({}, {})
         #: positive rho-tower (a class without its rho-exponent) -> ``positive_pages``
         self._pages: Dict[tuple, FrozenSet[int]] = {}
 
-    def group(self, deg: TriDegree, positive: bool) -> Mapping[int, Tuple[MonomialClass, ...]]:
-        """The classes of one cone group of E1 in ``deg``, by filtration: the
-        positive cone, or the gamma and Q parts. Each tuple is sorted."""
+    def filtrations(self, deg: TriDegree, positive: bool) -> FrozenSet[int]:
+        """The Bockstein filtrations of the classes of one cone group of E1 in
+        ``deg``: the positive cone, or the gamma and Q parts."""
         key = (deg, positive)
-        hit = self._groups.get(key)
+        hit = self._filtrations.get(key)
         if hit is None:
             if self.window.stores(deg):
-                self._group_stored(deg)
+                st = self.stored.get(deg)
+                classes = [m for m in (st.basis if st else ())
+                           if (m.cone is Cone.POSITIVE) is positive]
             else:
-                self._groups[key] = _by_filtration(self._enumerate(deg, positive))
-            hit = self._groups[key]
+                classes = self._enumerate(deg, positive)
+            hit = self._filtrations[key] = frozenset(m.filtration() for m in classes)
         return hit
-
-    def _group_stored(self, deg: TriDegree) -> None:
-        """Both cone groups of a stored degree, from one pass over its basis."""
-        st = self.stored.get(deg)
-        split: Tuple[List[MonomialClass], List[MonomialClass]] = ([], [])
-        for m in st.basis if st else ():
-            split[m.cone is Cone.POSITIVE].append(m)
-        self._groups[(deg, False)] = _by_filtration(split[False])
-        self._groups[(deg, True)] = _by_filtration(split[True])
 
     def _enumerate(self, deg: TriDegree, positive: bool) -> List[MonomialClass]:
         """The sorted basis of one cone group of E1 in an unstored ``deg``."""
@@ -220,26 +204,10 @@ class E1Index:
             return _positive_at(self.cat, deg, under)
         return _gamma_at(self.cat, deg, under) + enumerate_q_at(self.cat, deg)
 
-    def targets(self, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
-        """The classes d_r(m) can hit: its target degree, its filtration plus r.
-
-        A positive class hits the positive cone; a divided class hits the
-        gamma and Q parts, and nothing once the filtration turns positive.
-        """
-        positive = m.cone is Cone.POSITIVE
-        filt = (m.rho if positive else -m.rho) + r
-        if filt > 0 and not positive:
-            return ()
-        deg = degree_of(self.cat, m)
-        by_source = self._from[positive]
-        hit = by_source.get(deg)
-        if hit is None:
-            hit = by_source[deg] = self.group(deg + DIFFERENTIAL_SHIFT, positive)
-        return hit.get(filt, ())
-
     def positive_pages(self, m: MonomialClass) -> FrozenSet[int]:
         """The pages r >= 1 on which d_r of the positive class m has a target:
-        ``r in positive_pages(m)`` exactly when ``targets(m, r)`` is nonempty.
+        ``r in positive_pages(m)`` exactly when the positive cone of m's
+        target degree has a class of filtration ``m.rho + r``.
 
         The classes of filtration a + r in the target degree of rho^a x are
         rho^(a + r) times the rho-free classes of one degree, whatever a is,
@@ -250,17 +218,9 @@ class E1Index:
         hit = self._pages.get(key)
         if hit is None:
             a = m.rho
-            group = self.group(degree_of(self.cat, m) + DIFFERENTIAL_SHIFT, True)
-            hit = self._pages[key] = frozenset(f - a for f in group if f > a)
+            filts = self.filtrations(degree_of(self.cat, m) + DIFFERENTIAL_SHIFT, True)
+            hit = self._pages[key] = frozenset(f - a for f in filts if f > a)
         return hit
-
-
-def _by_filtration(basis: Iterable[MonomialClass]) -> Mapping[int, Tuple[MonomialClass, ...]]:
-    """A sorted basis split by Bockstein filtration, each part still sorted."""
-    by_filt: Dict[int, List[MonomialClass]] = {}
-    for m in basis:
-        by_filt.setdefault(m.filtration(), []).append(m)
-    return {filt: tuple(ms) for filt, ms in by_filt.items()} or _NO_CLASSES
 
 
 # --- the windowed E1 page -----------------------------------------------------

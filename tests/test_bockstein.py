@@ -14,11 +14,13 @@ from blregion.bockstein import (
     PageResolver,
     Report,
     census_report,
+    chain_of,
     check_structural_constraints,
     expected_census_dimension,
     pure_gamma_d,
     resolve_page,
     run_bockstein,
+    targets_in,
     tau_power_d,
     turn_page,
 )
@@ -421,7 +423,8 @@ def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch
                    for t, m in enumerate(st.basis) if (rep >> t) & 1}
         assert set(diffs) == on_page, r
         rules = run.rule_instances.get(r, {})
-        live = {m for m in on_page if m in rules or run.index.targets(m, r)}
+        live = {m for m in on_page if m in rules or m.filtration() + r in
+                run.index.filtrations(run.degree(m) + DIFFERENTIAL_SHIFT, m.cone is Cone.POSITIVE)}
         assert attempted == [m for st in run.states.values() for m in st.page_classes()
                              if m in live], r
         assert all(diffs[m] == ZERO for m in on_page - live), r
@@ -433,8 +436,8 @@ def test_only_classes_a_rule_or_a_target_can_move_are_attempted(cat, monkeypatch
 
 
 def _per_class_movers(run):
-    """``run.movers`` listed class by class: one target group read for each
-    stored class, the listing before the run read one per rho-tower."""
+    """``run.movers`` listed class by class: one filtration set read for
+    each stored class, the listing before the run read one per rho-tower."""
     ruled = {}
     for r, insts in run.rule_instances.items():
         for src in insts:
@@ -445,7 +448,7 @@ def _per_class_movers(run):
         target = st.degree + DIFFERENTIAL_SHIFT
         for m in st.basis:
             positive = m.cone is Cone.POSITIVE
-            filts = run.index.group(target, positive) if positive or m.rho else ()
+            filts = run.index.filtrations(target, positive) if positive or m.rho else ()
             lift = m.rho if positive else -m.rho
             for f in filts:
                 at = movers.get(f - lift)
@@ -466,7 +469,7 @@ TOWER_WINDOWS = [Window(max_stem=8), Window(max_stem=16, min_coweight=-3, max_co
 @pytest.mark.parametrize("window", TOWER_WINDOWS,
                          ids=["s8", "s16-cw-3..2", "s24-cw-6..1", "s24-cw0..0", "s40"])
 def test_tower_movers_and_target_tests_equal_the_per_class_ones(cat, window):
-    # a run reads one target group per rho-tower; its movers must be the
+    # a run reads one filtration set per rho-tower; its movers must be the
     # per-class listing, in order, on every scheduled page, and a tower's
     # positive pages must answer every member's empty-target test
     run = fresh_run(cat, window, seed_rules(cat))
@@ -481,17 +484,20 @@ def test_tower_movers_and_target_tests_equal_the_per_class_ones(cat, window):
             if m.cone is not Cone.POSITIVE:
                 continue
             for c in (m, m._replace(rho=0, tau=0)):
+                filts = index.filtrations(degree_of(cat, c) + DIFFERENTIAL_SHIFT, True)
                 for r in (1, 2, 3):
-                    assert (r in index.positive_pages(c)) == bool(index.targets(c, r)), \
+                    assert (r in index.positive_pages(c)) == (c.rho + r in filts), \
                         f"{display(c)} on page {r}"
                     checked += 1
     assert checked > 500
 
 
 def test_each_rho_tower_reads_one_target_group(cat, monkeypatch):
-    # a stem-40 run builds 1,954 E1Index groups and calls the public
-    # enumerators 45 times, once for each gamma and Q group outside the
-    # window (the cones.enumerate_calls metric); reading one group per
+    # a stem-40 run keeps 401 E1Index filtration sets and calls the public
+    # enumerators 44 times, once for each gamma and Q group outside the
+    # window it reads (the cones.enumerate_calls metric). While the index
+    # kept each group's classes for the page resolver too, the run built
+    # 1,954 groups and made 45 enumerator calls; reading one group per
     # stored class, it built 11,458 groups and made 1,936 enumerator calls
     calls = []
     for name in ("enumerate_positive_at", "enumerate_gamma_at", "enumerate_q_at"):
@@ -500,8 +506,8 @@ def test_each_rho_tower_reads_one_target_group(cat, monkeypatch):
             return _enumerate(c, deg)
         monkeypatch.setattr(cones, name, counting)
     run = run_bockstein(cat, Window(max_stem=40))
-    assert len(run.index._groups) == 1954
-    assert len(calls) == 45
+    assert len(run.index._filtrations) == 401
+    assert len(calls) == 44
 
 
 def _per_class_gamma(resolver, m):
@@ -518,7 +524,7 @@ def _per_class_gamma(resolver, m):
             terms = [multiply(cat, t, G) for t in dy or []]
             if dG is not None:
                 terms.append(multiply(cat, y, dG))
-            return resolver._chain(terms)
+            return chain_of(resolver.run, terms)
     return _UNKNOWN
 
 
@@ -617,7 +623,8 @@ def test_closed_forms_agree_with_the_seeds(cat):
     run = fresh_run(cat, Window(max_stem=24, min_coweight=-6), seed_rules(cat))
     for j in range(3, 30):
         for i in range(1, 40):
-            assert not run.index.targets(make_gamma(cat, j, i), 3), (j, i)
+            target = degree_of(cat, make_gamma(cat, j, i)) + DIFFERENTIAL_SHIFT
+            assert 3 - j not in run.index.filtrations(target, False), (j, i)
 
 
 @pytest.mark.parametrize("window", [Window(max_stem=12), Window(max_stem=12, min_coweight=-6)],
@@ -797,7 +804,7 @@ def test_leibniz_soundness_on_permanent_multipliers(cat, run24):
                     continue
                 lhs = run24.raw_differentials[r][u_src]
                 try:
-                    rhs = multiply_chain(cat, run24.window, u_mono, val)
+                    rhs = multiply_chain(run24, u_mono, val)
                 except ProductError:
                     continue
                 if lhs.external or rhs.external:
@@ -847,7 +854,7 @@ def test_dead_target_reads_the_span_not_each_monomial(cat):
     run = fresh_run(twin, Window(max_stem=6), seed_rules(twin))
     src = make_positive(twin, tau=1, family="P^k h_2")
     st = run.states[degree_of(twin, src) + DIFFERENTIAL_SHIFT]
-    c1, c2 = run.index.targets(src, 1)
+    c1, c2 = targets_in(st, src, 1)
     both = st.vector(c1) | st.vector(c2)
     others = [st.vector(m) for m in st.basis if m not in (c1, c2)]
     resolver = PageResolver(run, 1)
@@ -860,6 +867,18 @@ def test_dead_target_reads_the_span_not_each_monomial(cat):
     st.set_rows(gf2.rref(others + [both]), [both])
     assert others and all(st.reduce_mod_boundaries(v) for v in others)
     assert resolver.dead_target(src)
+
+
+def test_divided_targets_leave_out_the_positive_cone(cat):
+    # d_r of a divided class with rho-exponent r lands in filtration 0, as
+    # a rho-free positive class does. No target degree of a divided class
+    # in the catalog holds a rho-free positive class, so one state is made
+    # up with one of each: a divided source hits only the divided class.
+    pos, div = make_positive(cat, h1=1), make_gamma(cat, 0, 2, h0=1)
+    st = DegreeState.initial(TriDegree(0, 1, 0), tuple(sorted((pos, div))))
+    for src in (make_gamma(cat, 1, 1), make_q(cat, 1, "h_1^{4+k}", 0)):
+        assert targets_in(st, src, 1) == (div,), display(src)
+    assert targets_in(st, make_positive(cat, tau=1), 1) == ()
 
 
 def test_window_stability(run24, run40):
