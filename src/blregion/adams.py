@@ -9,28 +9,27 @@ as a rule since its proof lives in connective K-theory. Everything downstream
 fixed points, underlying detectors, Mahowald invariants of the powers of 2)
 is derived from this extension-decorated page.
 
-Every page fact is read from the run's caches: the survivors of a degree
-(``DegreeState.alive_classes``) and the degree of a stored class
-(``BocksteinRun.degree``). ``region_classes`` looks up only the region's
-coweight-0 degrees, not every stored one. ``divisibility_table`` walks the
-rho-division tower once per k and derives the 2-divisibility and the
-fixed-point image from that list. ``adams_no_differentials`` walks each
-candidate source's h0 or h1 tower once and keeps the verdict, per source and
-generator, for the rest of its call: the verdict reads neither the target
-nor the Adams page; it also names each class once per call. An
-``AdamsPage`` lists the classical edge classes by stem on first use and
-keeps the listing for its own life, so the Mahowald report walks the
-underlying classes once, not once per k; nothing carries over from one page
-to the next.
+Each reader of a finished run asks each question once. ``region`` walks the
+region's coweight-0 degrees, not every stored one, and yields each with its
+survivors (``DegreeState.alive_classes``), so its readers -- the Adams
+check, the chart and the census report -- take a class's degree from it.
+``adams_no_differentials`` walks each candidate source's h0 or h1 tower once
+per call with ``bockstein.walk_tower``, the structural check's walker, and
+keeps the verdict per source and generator: it reads neither the target nor
+the Adams page. ``divisibility_table`` walks the rho-division tower once per
+k, and the 2-divisibility and the fixed-point image, row by row or one k at
+a time, read that list. An ``AdamsPage`` lists the classical edge classes by
+stem on first use and keeps the listing for its own life, so the Mahowald
+report walks the underlying classes once, not once per k; nothing carries
+over from one page to the next.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .bockstein import BocksteinRun, Report
+from .bockstein import BocksteinRun, Report, walk_tower
 from .catalog import Catalog
 from .cones import _underlying_with_filtration
 from .degrees import TriDegree
@@ -41,7 +40,6 @@ from .monomials import (
     display,
     make_positive,
     make_q,
-    module_action,
 )
 
 
@@ -71,24 +69,21 @@ class AdamsPage:
         return classical_edge_by_stem(self.cat, self.run.window.max_f)
 
 
-def region_classes(run: BocksteinRun) -> List[MonomialClass]:
-    """Surviving census monomials: coweight 0, strictly above f = s/2 - 1.
+def region(run: BocksteinRun) -> Iterator[Tuple[TriDegree, Tuple[MonomialClass, ...]]]:
+    """Each region degree (s, f, s) with survivors, and the survivors.
 
-    Looks up the region's degrees (s, f, s) in (s, f) order, for stems 0 to
-    the window's top and filtrations up to its bound, rather than scanning
-    every stored degree. The keys are plain tuples: they hash and compare
-    as the stored TriDegree keys do, without the NamedTuple constructor.
+    The region is coweight 0, strictly above f = s/2 - 1, over the asserted
+    stems from 0 and filtrations up to the window's bound. Degrees come in
+    (s, f) order and survivors in basis order, which is sorted. Only the
+    region's degrees are looked up, by plain tuples: they hash and compare
+    as the stored TriDegree keys do.
     """
-    window, states = run.window, run.states
-    out = []
-    for s in range(0, window.max_stem + 1):
-        for f in range(0, window.max_f + 1):
-            if 2 * f <= s - 2:
-                continue
+    states = run.states
+    for s in range(0, run.window.max_stem + 1):
+        for f in range(s // 2, run.window.max_f + 1):  # f > s/2 - 1
             st = states.get((s, f, s))
-            if st is not None:
-                out.extend(st.alive_classes())
-    return out
+            if st is not None and st.alive_classes():
+                yield st.degree, st.alive_classes()
 
 
 #: the last Adams page whose differentials ``adams_no_differentials`` excludes
@@ -101,84 +96,52 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     Targets of a differential on a region class drop into coweight -1, where
     the page vanishes above the wedge line; candidate sources sit in coweight
     1 and would have to be h1-periodic against the finite h1 towers there,
-    or to hit the h0 tower from the empty stem-1 column.
+    or to hit the h0 tower from the empty stem-1 column. A nonzero d_r from
+    beta onto a region class alpha would propagate along the tower: sym^t
+    beta must stay alive as long as sym^t alpha does. Region classes belong
+    to the census families, whose towers never terminate (validated by the
+    census), so beta is excluded exactly when its own tower dies inside the
+    stored box (``walk_tower``), whatever alpha is; a tower that leaves the
+    box or exhausts the walk's bound cannot certify.
     """
     window = run.window
     rep = Report()
-    #: (source, generator) -> whether its tower dies in the window
+    #: (source, generator) -> whether its tower dies in the stored box
     verdicts: Dict[Tuple[MonomialClass, str], bool] = {}
     name = cache(display)  # each class is named once per call
-    for alpha in region_classes(run):
-        d = run.degree(alpha)
-        # (a) targets (s-1, f+r, w) must be dead or out of the stored page
-        for r in range(2, MAX_ADAMS_PAGE + 1):
-            t = TriDegree(d.s - 1, d.f + r, d.w)
-            if t.f > window.max_f:
-                break
-            st = run.states.get(t)
-            if st is None:
-                continue
-            survivors = st.alive_classes()
-            if survivors:
-                rep.violations.append(
-                    f"unexcluded differential: d_{r}({name(alpha)}) has live "
-                    f"target {name(survivors[0])} at {t}"
-                )
-        # (b) sources (s+1, f-r, w) in coweight 1
-        for r in range(2, MAX_ADAMS_PAGE + 1):
-            if d.f - r < 0:
-                break
-            s_deg = TriDegree(d.s + 1, d.f - r, d.w)
-            st = run.states.get(s_deg)
-            if st is None:
-                continue
-            sources = st.alive_classes()
-            if not sources:
-                continue
+    for d, survivors in region(run):
+        for alpha in survivors:
+            # (a) targets (s-1, f+r, w) must be dead or out of the stored page
+            for r in range(2, MAX_ADAMS_PAGE + 1):
+                t = TriDegree(d.s - 1, d.f + r, d.w)
+                if t.f > window.max_f:
+                    break
+                st = run.states.get(t)
+                if st is not None and st.alive_classes():
+                    rep.violations.append(
+                        f"unexcluded differential: d_{r}({name(alpha)}) has live "
+                        f"target {name(st.alive_classes()[0])} at {t}"
+                    )
+            # (b) sources (s+1, f-r, w) in coweight 1
             is_h0_tower = alpha.h1 == 0 and alpha.cone is Cone.POSITIVE and not alpha.family
             sym = "h_0" if is_h0_tower else "h_1"
-            for beta in sources:
-                excludes = verdicts.get((beta, sym))
-                if excludes is None:
-                    excludes = verdicts[(beta, sym)] = _tower_argument_excludes(run, beta, sym)
-                if excludes:
-                    rep.notes.append(
-                        f"d_{r}({name(beta)}) -> {name(alpha)} excluded: "
-                        f"the source's {sym} tower dies while the target's persists"
-                    )
-                else:
-                    rep.violations.append(
-                        f"unexcluded differential: d_{r}({name(beta)}) could hit "
-                        f"{name(alpha)}"
-                    )
+            for r in range(2, min(d.f, MAX_ADAMS_PAGE) + 1):
+                st = run.states.get(TriDegree(d.s + 1, d.f - r, d.w))
+                for beta in st.alive_classes() if st is not None else ():
+                    excludes = verdicts.get((beta, sym))
+                    if excludes is None:
+                        excludes = verdicts[(beta, sym)] = walk_tower(run, beta, sym) == "dies"
+                    if excludes:
+                        rep.notes.append(
+                            f"d_{r}({name(beta)}) -> {name(alpha)} excluded: "
+                            f"the source's {sym} tower dies while the target's persists"
+                        )
+                    else:
+                        rep.violations.append(
+                            f"unexcluded differential: d_{r}({name(beta)}) could hit "
+                            f"{name(alpha)}"
+                        )
     return rep
-
-
-def _tower_argument_excludes(run: BocksteinRun, beta: MonomialClass, sym: str) -> bool:
-    """Periodicity comparison along sym-multiplication towers.
-
-    A nonzero differential from beta hitting a region class alpha would
-    propagate along the tower: sym^t * beta must stay alive as long as
-    sym^t * alpha does. Region classes belong to the census families, whose
-    towers never terminate (validated by the census), so the source is
-    excluded exactly when its own tower provably dies inside the stored
-    window, whatever alpha is. Leaving the window unresolved does not
-    exclude.
-    """
-    cat = run.cat
-    cur, steps = beta, 0
-    while steps <= run.window.max_f + 1:
-        nxt = module_action(cat, sym, cur)
-        if nxt is None:
-            return True  # tower hits zero
-        ndeg = run.degree(nxt)
-        st = run.states.get(ndeg)
-        if st is None or not run.window.stores(ndeg):
-            return False  # tower escapes the window: cannot certify
-        if not st.monomial_alive(nxt):
-            return True  # genuinely dead inside the window
-        cur, steps = nxt, steps + 1
-    return False
 
 
 def install_hidden_rho_extensions(run: BocksteinRun) -> AdamsPage:
@@ -267,44 +230,19 @@ def rho_divisibility(k: int, page: AdamsPage) -> int:
 
 
 def fixed_point_image(k: int, page: AdamsPage) -> int:
-    """Exponent m with image of geometric fixed points = 2^m Z on stem k.
-
-    The fixed-points map sends the rho class to 1 and the Hopf class to -2
-    (sign immaterial), so the image on the k-th diagonal is generated by
-    2^n over those n <= k with the n-th Hopf power divisible by rho^(k-n).
-    """
+    """Exponent m with image of geometric fixed points = 2^m Z on stem k,
+    read from ``divisibility_table``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _fixed_point_image(k, lambda n: rho_divisibility(n, page))
-
-
-def _fixed_point_image(k: int, rho: Callable[[int], int]) -> int:
-    """``fixed_point_image`` with ``rho(n)`` the rho-divisibility of the n-th power."""
-    for n in range(0, k + 1):
-        div = rho(n) if n >= 1 else 0
-        if div >= k - n:
-            return n
-    raise AmbiguityError(f"no generator exponent found for k={k}")
+    return divisibility_table(page, k)[-1].fixed_point_generator_exponent
 
 
 def two_divisibility(k: int, page: AdamsPage) -> int:
-    """Maximal power of 2 dividing the k-th Hopf-power class, k >= 5.
-
-    On h0-torsion classes multiplication by 2 agrees with rho times the Hopf
-    class up to sign, so 2^m divides the k-th power exactly when rho^m
-    divides the (k-m)-th.
-    """
+    """Maximal power of 2 dividing the k-th Hopf-power class, k >= 5, read
+    from ``divisibility_table``."""
     if k < 5:
         raise ValueError("two-divisibility derivation requires k >= 5")
-    return _two_divisibility(k, lambda n: rho_divisibility(n, page))
-
-
-def _two_divisibility(k: int, rho: Callable[[int], int]) -> int:
-    """``two_divisibility`` with ``rho(n)`` the rho-divisibility of the n-th power."""
-    m = 0
-    while m + 1 <= k - 1 and rho(k - (m + 1)) >= m + 1:
-        m += 1
-    return m
+    return divisibility_table(page, k)[-1].max_two_power
 
 
 def classical_edge_by_stem(cat: Catalog, max_f: int) -> Dict[int, List[MonomialClass]]:
@@ -393,16 +331,24 @@ def mahowald_invariant_of_2k(page: AdamsPage, k: int) -> MonomialClass:
 def divisibility_table(page: AdamsPage, k_max: int) -> List[DivisibilityRecord]:
     """The rho-, 2-divisibility and fixed-point image of eta^k for k = 1..k_max.
 
-    ``rho_divisibility`` runs once per k, and the 2-divisibility and the
-    fixed-point image read its list: both need it only at n <= k.
+    ``rho_divisibility`` runs once per k, and the other two read its list,
+    which they need only at n <= k. The fixed-points map sends the rho class
+    to 1 and the Hopf class to -2 (sign immaterial), so the image on the k-th
+    diagonal is generated by 2^n for the least n with the n-th Hopf power
+    divisible by rho^(k-n). On h0-torsion classes multiplication by 2 agrees
+    with rho times the Hopf class up to sign, so 2^m divides the k-th power,
+    k >= 5, exactly when rho^m divides the (k-m)-th.
     """
     rho = [0] + [rho_divisibility(k, page) for k in range(1, k_max + 1)]
-    return [
-        DivisibilityRecord(
+    rows = []
+    for k in range(1, k_max + 1):
+        two = 0
+        while two + 1 <= k - 1 and rho[k - two - 1] >= two + 1:
+            two += 1
+        rows.append(DivisibilityRecord(
             k=k,
             max_rho_power=rho[k],
-            max_two_power=_two_divisibility(k, rho.__getitem__) if k >= 5 else None,
-            fixed_point_generator_exponent=_fixed_point_image(k, rho.__getitem__),
-        )
-        for k in range(1, k_max + 1)
-    ]
+            max_two_power=two if k >= 5 else None,
+            fixed_point_generator_exponent=next(n for n in range(k + 1) if rho[n] >= k - n),
+        ))
+    return rows

@@ -42,6 +42,9 @@ touched. Bases never change, so the run files each stored class under
 its state once (``BocksteinRun.home``) and lists, once, the classes each
 scheduled page can move (``BocksteinRun.movers``); the page loop, the
 checks and the Adams layer read a stored class's degree from its home.
+``walk_tower`` is the one walk along an h0 or h1 tower: the structural
+check reads it for the coweight-1 h1 towers, and the Adams check for each
+candidate source.
 d_r is rho-linear, so a rho-tower's members have targets on the same pages:
 the movers and the positive oracle's empty-target tests read one per tower.
 The run's ``E1Index`` says which filtrations a cone group of a target degree
@@ -879,7 +882,8 @@ class Report:
 
 def check_structural_constraints(run: BocksteinRun) -> Report:
     """Rho-divisibility of negative-cone differentials, the negative-coweight
-    vanishing wedge, and finiteness of coweight-1 h1 towers."""
+    vanishing wedge, and finiteness of coweight-1 h1 towers (``walk_tower``:
+    a tower leaving the window warns, one reaching the walk's bound fails)."""
     cat, window, home = run.cat, run.window, run.home
     rep = Report()
 
@@ -942,28 +946,35 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
         if d.coweight != 1 or window.near_boundary(d, reach=4):
             continue  # truncated towers near the edge are boundary-marked
         for m in run.states[d].alive_classes():
-            cur, height = m, 0
-            ended_by_zero = False
-            while height <= window.max_f:
-                nxt = module_action(cat, "h_1", cur)
-                if nxt is None:
-                    ended_by_zero = True
-                    break
-                nst = home.get(nxt)
-                if nst is None and not window.stores(degree_of(cat, nxt)):
-                    rep.warnings.append(
-                        f"h1 tower on {display(m)} leaves the window unresolved"
-                    )
-                    break
-                if nst is None or not nst.monomial_alive(nxt):
-                    ended_by_zero = True
-                    break
-                cur, height = nxt, height + 1
-            if not ended_by_zero and height > window.max_f:
-                rep.violations.append(
-                    f"unbounded h1 tower on {display(m)} in coweight 1"
-                )
+            fate = walk_tower(run, m, "h_1")
+            if fate == "leaves":
+                rep.warnings.append(f"h1 tower on {display(m)} leaves the window unresolved")
+            elif fate == "unbounded":
+                rep.violations.append(f"unbounded h1 tower on {display(m)} in coweight 1")
     return rep
+
+
+def walk_tower(run: BocksteinRun, m: MonomialClass, sym: str) -> str:
+    """Where the sym-multiplication tower over the page class m ends.
+
+    "dies" when a product is zero, lies in a stored degree with no E1 class
+    of that name (read as zero), or is not a survivor; "leaves" when a
+    product falls outside the stored box; "unbounded" when max_f + 1 steps
+    all survive. Every h0 or h1 step of a validated catalog raises f by one,
+    so such a tower leaves the box first: only a hand-built catalog reaches
+    the bound.
+    """
+    cat, home, window = run.cat, run.home, run.window
+    for _ in range(window.max_f + 1):
+        m = module_action(cat, sym, m)
+        if m is None:
+            return "dies"
+        st = home.get(m)
+        if st is None:
+            return "dies" if window.stores(degree_of(cat, m)) else "leaves"
+        if not st.monomial_alive(m):
+            return "dies"
+    return "unbounded"
 
 
 def expected_census_dimension(d: TriDegree, max_f: int) -> int:

@@ -9,8 +9,9 @@ rho-extensions. The region boundary f = s/2 - 1 is shaded below. Rendering
 is deterministic: stable ordering and fixed precision throughout.
 
 Dots, lines and arrows are NamedTuples, so lines and arrows sort as their
-field tuples. A chart is built from ``region_classes``, the region's own
-degrees, and each renderer formats each distinct coordinate once per call.
+field tuples. A chart places each spot's classes as ``adams.region`` yields
+them, degree by degree, and each renderer formats each distinct coordinate
+once per call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Tuple
 
-from .adams import AdamsPage, region_classes
+from .adams import AdamsPage, region
 from .monomials import Cone, MonomialClass, display, module_action
 
 BLUE = "blue"
@@ -93,37 +94,29 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
     x_max, y_max = window.max_stem, window.max_f
     doc = ChartDocument(title=kind, x_max=x_max, y_max=y_max)
 
-    classes = region_classes(run)
-    spots: Dict[Tuple[int, int], List[MonomialClass]] = {}
-    for m in classes:
-        d = run.degree(m)
-        spots.setdefault((d.s, d.f), []).append(m)
     placement: Dict[MonomialClass, Tuple[float, float]] = {}
-    for (x, y), group in sorted(spots.items()):
-        group.sort()
-        for i, m in enumerate(group):
+    stem_zero = []  # the positive classes on the zero stem, which carry h0 lines
+    for d, survivors in region(run):
+        for i, m in enumerate(survivors):
             dx, dy = _FAN[i % len(_FAN)]
-            placement[m] = (x + dx, y + dy)
+            placement[m] = (d.s + dx, d.f + dy)
             label = ""
             if m.cone is Cone.Q and m.rho == 0 and m.k == 0:
                 label = display(m)
-            doc.dots.append(
-                Dot(x, y, BLUE if m.cone is Cone.POSITIVE else GRAY, i, label)
-            )
+            positive = m.cone is Cone.POSITIVE
+            doc.dots.append(Dot(d.s, d.f, BLUE if positive else GRAY, i, label))
+            if positive and d.s == 0:
+                stem_zero.append(m)
 
-    alive = set(classes)
-    for m in sorted(alive):
-        x1, y1 = placement[m]
+    for m in sorted(placement):
         for sym, kind_name in (("rho", "rho"), ("h_1", "h1")):
             n = module_action(cat, sym, m)
-            if n is not None and n in alive:
-                x2, y2 = placement[n]
-                doc.lines.append(Line(kind_name, x1, y1, x2, y2))
-        if m.cone is Cone.POSITIVE and run.degree(m).s == 0:
-            n = module_action(cat, "h_0", m)
-            if n is not None and n in alive:
-                x2, y2 = placement[n]
-                doc.lines.append(Line("h0", x1, y1, x2, y2))
+            if n in placement:
+                doc.lines.append(Line(kind_name, *placement[m], *placement[n]))
+    for m in stem_zero:
+        n = module_action(cat, "h_0", m)
+        if n in placement:
+            doc.lines.append(Line("h0", *placement[m], *placement[n]))
     # infinite h0 tower on the zero stem: arrowhead at the cap
     if any(d.x == 0 for d in doc.dots):
         doc.arrows.append(Arrow(0.0, float(y_max), "up"))

@@ -13,7 +13,7 @@ from .adams import (
     divisibility_table,
     install_hidden_rho_extensions,
     mahowald_invariant_of_2k,
-    region_classes,
+    region,
 )
 from .bockstein import (
     ConflictError,
@@ -111,12 +111,9 @@ def report_tables(page: AdamsPage, kind: str) -> str:
             rows.append([f"2^{k}", display(det), "not computed"])
         return _table(["class", "Mahowald invariant detector", "indeterminacy"], rows)
     if kind == "census":
-        run = page.run
-        rows = []
-        for m in region_classes(run):
-            d = run.degree(m)
-            rows.append([str(d.s), str(d.f), str(d.w), display(m)])
-        rows.sort(key=lambda r: (int(r[0]), int(r[1]), r[3]))
+        rows = [[str(d.s), str(d.f), str(d.w), name]
+                for d, survivors in region(page.run)
+                for name in sorted(map(display, survivors))]
         return _table(["stem", "filtration", "weight", "class"], rows)
     raise ValueError(f"unknown report kind {kind!r}")
 

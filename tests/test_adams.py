@@ -15,18 +15,19 @@ from blregion.adams import (
     fixed_point_image,
     is_rho_divisible,
     mahowald_invariant_of_2k,
-    region_classes,
+    region,
     rho_divisibility,
     rho_divisibility_engine,
     rho_divisibility_formula,
     two_divisibility,
     underlying_map,
 )
-from blregion.bockstein import Report, census_report, check_structural_constraints, run_bockstein
+from blregion.bockstein import (Report, census_report, check_structural_constraints,
+                                run_bockstein, walk_tower)
 from blregion.charts import chart_from_page, render
 from blregion.cli import REPORT_KINDS, report_tables
 from blregion.degrees import TriDegree, Window
-from blregion.monomials import Cone, degree_of, display, make_positive, make_q
+from blregion.monomials import Cone, degree_of, display, make_positive, make_q, module_action
 
 
 def closed_form_fixed_points(k):
@@ -81,6 +82,19 @@ def test_rho_divisibility_engine_agrees(page24):
         assert engine == rho_divisibility_formula(k), k
         certified += 1
     assert certified >= 12  # the default window certifies at least k <= 12
+
+
+@pytest.mark.parametrize("stem", [8, 16, 24, 40])
+def test_rho_divisibility_engine_certifies_half_the_stems(request, cat, stem):
+    # the window certifies exactly k = 1..max_stem/2 and refuses the next k;
+    # the report rows past that come from the closed form
+    run = (request.getfixturevalue(f"run{stem}") if stem in (24, 40)
+           else run_bockstein(cat, Window(max_stem=stem)))
+    page = install_hidden_rho_extensions(run)
+    for k in range(1, stem // 2 + 1):
+        assert rho_divisibility_engine(page, k) == rho_divisibility_formula(k), k
+    with pytest.raises(OutOfWindowError):
+        rho_divisibility_engine(page, stem // 2 + 1)
 
 
 def test_rho_divisibility_hybrid(page24):
@@ -217,11 +231,68 @@ def test_divisibility_table_walks_each_tower_once(page24, monkeypatch, k_max):
     assert len(walks) > k_max  # the public functions walk again
 
 
+def _adams_tower_excludes(run, beta, sym):
+    """Reference for ``walk_tower``: the Adams check's stand-alone walk,
+    whether beta's sym tower dies inside the stored box. It reads a product
+    whose degree holds no state as unable to certify; ``walk_tower`` reads
+    it as zero when the degree is stored."""
+    cur, steps = beta, 0
+    while steps <= run.window.max_f + 1:
+        nxt = module_action(run.cat, sym, cur)
+        if nxt is None:
+            return True
+        ndeg = run.degree(nxt)
+        st = run.states.get(ndeg)
+        if st is None or not run.window.stores(ndeg):
+            return False
+        if not st.monomial_alive(nxt):
+            return True
+        cur, steps = nxt, steps + 1
+    return False
+
+
+def _structural_tower_fate(run, m, sym):
+    """Reference for ``walk_tower``: the structural check's stand-alone
+    h1-tower loop, for either generator: "dies", "leaves" or "unbounded"."""
+    cat, window, cur, height = run.cat, run.window, m, 0
+    while height <= window.max_f:
+        nxt = module_action(cat, sym, cur)
+        if nxt is None:
+            return "dies"
+        nst = run.home.get(nxt)
+        if nst is None and not window.stores(degree_of(cat, nxt)):
+            return "leaves"
+        if nst is None or not nst.monomial_alive(nxt):
+            return "dies"
+        cur, height = nxt, height + 1
+    return "unbounded"
+
+
+@pytest.mark.parametrize("window", [Window(max_stem=24, min_coweight=-6), Window(max_stem=40)],
+                         ids=["stem24-cw-6..1", "stem40"])
+def test_walk_tower_agrees_with_both_old_walks(cat, run40, window):
+    # every survivor of every stored degree, under both generators: the
+    # structural loop's fate, and the Adams walk's verdict exactly when the
+    # tower dies; no walk here reaches a stored degree without a state,
+    # the one place the two old walks read differently
+    run = run40 if window == run40.window else run_bockstein(cat, window)
+    fates = set()
+    for st in run.states.values():
+        for m in st.alive_classes():
+            for sym in ("h_0", "h_1"):
+                fate = walk_tower(run, m, sym)
+                assert fate == _structural_tower_fate(run, m, sym), (display(m), sym)
+                assert (fate == "dies") == _adams_tower_excludes(run, m, sym), (display(m), sym)
+                fates.add(fate)
+    assert fates == {"dies", "leaves"}
+
+
 def _class_by_class_no_differentials(run):
-    """``adams_no_differentials`` walking the source tower for every (target,
-    source) pair, and the (source, generator) pairs it walked, in order."""
+    """``adams_no_differentials`` over the full-scan region, walking the
+    source tower for every (target, source) pair with the Adams check's old
+    walk, and the (source, generator) pairs it walked, in order."""
     rep, walked = Report(), []
-    for alpha in region_classes(run):
+    for alpha in _region_classes_full_scan(run):
         d = run.degree(alpha)
         for r in range(2, adams.MAX_ADAMS_PAGE + 1):
             t = TriDegree(d.s - 1, d.f + r, d.w)
@@ -243,7 +314,7 @@ def _class_by_class_no_differentials(run):
             sym = "h_0" if is_h0_tower else "h_1"
             for beta in st.alive_classes():
                 walked.append((beta, sym))
-                if adams._tower_argument_excludes(run, beta, sym):
+                if _adams_tower_excludes(run, beta, sym):
                     rep.notes.append(
                         f"d_{r}({display(beta)}) -> {display(alpha)} excluded: "
                         f"the source's {sym} tower dies while the target's persists"
@@ -258,20 +329,19 @@ def _class_by_class_no_differentials(run):
 
 def test_adams_check_walks_each_source_tower_once(run24, run40, monkeypatch):
     # the verdict on a source's tower reads neither the target nor the page
-    # of the differential, so the check walks it once per (source,
+    # of the differential, so the check calls walk_tower once per (source,
     # generator); its report, notes and their order included, is the
     # class-by-class walk's
     for run, distinct in ((run24, 100), (run40, 232)):
         want, walked = _class_by_class_no_differentials(run)
         assert len(set(walked)) == distinct and len(walked) > 4 * distinct
         walks = []
-        walk = adams._tower_argument_excludes
 
-        def counting(run, beta, sym, walk=walk):
+        def counting(run, beta, sym, walk=walk_tower):
             walks.append((beta, sym))
             return walk(run, beta, sym)
 
-        monkeypatch.setattr(adams, "_tower_argument_excludes", counting)
+        monkeypatch.setattr(adams, "walk_tower", counting)
         got = adams_no_differentials(run)
         monkeypatch.undo()
         assert sorted(walks) == sorted(set(walked))
@@ -325,14 +395,14 @@ def test_hidden_links_raise_filtration(cat, page24):
 
 
 def test_region_classes_all_in_region(cat, run24):
-    for m in region_classes(run24):
-        d = degree_of(cat, m)
+    for d, survivors in region(run24):
         assert d.coweight == 0 and 2 * d.f > d.s - 2 and 0 <= d.s <= 24
+        assert survivors and all(degree_of(cat, m) == d for m in survivors)
 
 
 def _region_classes_full_scan(run):
-    """``region_classes`` as a scan of every stored degree, sorted: the
-    reference for the direct lookup of the region's degrees."""
+    """The region's survivors by a scan of every stored degree, sorted: the
+    reference for ``region``'s direct lookup of the region's degrees."""
     out = []
     for d in sorted(run.states):
         if d.coweight != 0 or d.s < 0 or d.s > run.window.max_stem:
@@ -347,7 +417,7 @@ def _region_classes_full_scan(run):
 def test_region_classes_equal_full_scan(cat, stem, lo, hi):
     run = run_bockstein(cat, Window(max_stem=stem, min_coweight=lo, max_coweight=hi))
     want = _region_classes_full_scan(run)
-    assert want and region_classes(run) == want
+    assert want and [m for _, survivors in region(run) for m in survivors] == want
 
 
 def test_mahowald_report_walks_underlying_classes_once_per_page(run24, monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from blregion import cones, gf2
+from blregion import bockstein, cones, gf2
 from blregion.bockstein import (
     _UNKNOWN,
     TAU_STEP,
@@ -23,6 +23,7 @@ from blregion.bockstein import (
     targets_in,
     tau_power_d,
     turn_page,
+    walk_tower,
 )
 from blregion.catalog import Catalog
 from blregion.cones import build_e1
@@ -775,6 +776,21 @@ def test_structural_check_equals_the_per_term_one_on_injected_failures(cat):
         assert any(v.startswith(f"page {r}:") and "receives a differential" in v
                    for v in got.violations), r
     assert sum(v.startswith(f"E1 should vanish in {wedge}") for v in got.violations) == 2
+
+
+def test_structural_check_flags_a_tower_that_reaches_the_walk_bound(run24, monkeypatch):
+    # a validated catalog cannot reach the bound: every h0 or h1 step raises
+    # f by one, so the tower leaves the stored box first. An action that
+    # returns its own survivor stands in for a hand-built catalog whose h_1
+    # does not raise f.
+    monkeypatch.setattr(bockstein, "module_action", lambda cat, sym, m: m)
+    sources = [m for d, st in run24.states.items()
+               if d.coweight == 1 and not run24.window.near_boundary(d, reach=4)
+               for m in st.alive_classes()]
+    assert sources and all(walk_tower(run24, m, "h_1") == "unbounded" for m in sources)
+    rep = check_structural_constraints(run24)
+    assert rep.violations == [f"unbounded h1 tower on {display(m)} in coweight 1"
+                              for m in sources]
 
 
 def test_injected_non_divisible_differential_flagged(cat):

@@ -1,7 +1,8 @@
 """Output bytes pinned to SHA-256 digests.
 
 The five reports, the einf and e2 charts in SVG and TikZ at stems 24 and 40,
-the ko chart in both formats, and the Adams check report with its notes. A
+the ko chart in both formats, and the structural, census and Adams check
+reports with their violations, warnings and notes. A
 change that moves no answer keeps every digest; one that does move an answer
 updates the digests it moves, in the open.
 """
@@ -12,13 +13,17 @@ import json
 import pytest
 
 from blregion.adams import adams_no_differentials, install_hidden_rho_extensions
+from blregion.bockstein import census_report, check_structural_constraints
 from blregion.charts import chart_from_page, ko_chart, render
 from blregion.cli import REPORT_KINDS, report_tables
 
 #: the divisibility, fixed-point, 2-divisibility and Mahowald reports read
-#: the same at both stems: stem 24 already certifies their fixed k ranges
+#: the same at both stems: stem 24 already certifies their fixed k ranges;
+#: "census-check" is the census check report, "census" the census report table
 PINNED = {
     24: {
+        "structural": "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+        "census-check": "7ce65699d22481a1396b3529b6b2e11f8850f584b43bba44dccb722e085b0f09",
         "adams": "c44f7d8761a25510e61ff47448e1e16c2a6a9c506f3dbc84d2042c733b91ee25",
         "divisibility": "4fd18afc3049eac690b664305958f9f3871dab430d3dd6d89d109c0e3718708b",
         "fixed-points": "a1a733e1040e706c434e795522e8a59814a61616a780b60124fd7fdfdc5651f1",
@@ -31,6 +36,8 @@ PINNED = {
         "e2.tikz": "e69542f012538d5588c2c6ab86d29c07a00c52fd8e33eabac5117fcf8fb46ee8",
     },
     40: {
+        "structural": "f865256c77f3fc9fb80d7c6a2cdc9716f594a132d8ed568eff51d23dc252eb20",
+        "census-check": "1ed2f1f2b43a64d00256858ad9cd87ce68df989e935c43e70d84cb1aab0d88f0",
         "adams": "a3774ec4fa86766af6f866c2ad71618892acbc2ed4ffeb41c912dbedfb8d7f72",
         "divisibility": "4fd18afc3049eac690b664305958f9f3871dab430d3dd6d89d109c0e3718708b",
         "fixed-points": "a1a733e1040e706c434e795522e8a59814a61616a780b60124fd7fdfdc5651f1",
@@ -55,8 +62,11 @@ def _sha(data: bytes) -> str:
 
 def _outputs(run):
     """Name -> bytes of every pinned output of one run."""
-    rep = adams_no_differentials(run)
-    out = {"adams": json.dumps([rep.violations, rep.warnings, rep.notes]).encode()}
+    out = {}
+    for name, check in (("structural", check_structural_constraints),
+                        ("census-check", census_report), ("adams", adams_no_differentials)):
+        rep = check(run)
+        out[name] = json.dumps([rep.violations, rep.warnings, rep.notes]).encode()
     page = install_hidden_rho_extensions(run)
     for kind in REPORT_KINDS:
         out[kind] = report_tables(page, kind).encode()
