@@ -72,18 +72,15 @@ class AdamsPage:
 def region(run: BocksteinRun) -> Iterator[Tuple[TriDegree, Tuple[MonomialClass, ...]]]:
     """Each region degree (s, f, s) with survivors, and the survivors.
 
-    The region is coweight 0, strictly above f = s/2 - 1, over the asserted
-    stems from 0 and filtrations up to the window's bound. Degrees come in
-    (s, f) order and survivors in basis order, which is sorted. Only the
-    region's degrees are looked up, by plain tuples: they hash and compare
-    as the stored TriDegree keys do.
+    The region's degrees are ``Window.region_degrees``, the census's too.
+    Degrees come in (s, f) order and survivors in basis order, which is
+    sorted. Only the region's degrees are looked up.
     """
     states = run.states
-    for s in range(0, run.window.max_stem + 1):
-        for f in range(s // 2, run.window.max_f + 1):  # f > s/2 - 1
-            st = states.get((s, f, s))
-            if st is not None and st.alive_classes():
-                yield st.degree, st.alive_classes()
+    for d in run.window.region_degrees():
+        st = states.get(d)
+        if st is not None and st.alive_classes():
+            yield st.degree, st.alive_classes()
 
 
 #: the last Adams page whose differentials ``adams_no_differentials`` excludes
@@ -104,30 +101,26 @@ def adams_no_differentials(run: BocksteinRun) -> Report:
     stored box (``walk_tower``), whatever alpha is; a tower that leaves the
     box or exhausts the walk's bound cannot certify.
     """
-    window = run.window
+    states, max_f = run.states, run.window.max_f
     rep = Report()
     #: (source, generator) -> whether its tower dies in the stored box
     verdicts: Dict[Tuple[MonomialClass, str], bool] = {}
     name = cache(display)  # each class is named once per call
-    for d, survivors in region(run):
+    for (s, f, w), survivors in region(run):
+        # the live target states (s-1, f+r, w) and the sources (s+1, f-r, w)
+        # in coweight 1 depend on the degree only, so they are read once
+        targets = [(r, st) for r in range(2, min(max_f - f, MAX_ADAMS_PAGE) + 1)
+                   if (st := states.get((s - 1, f + r, w))) is not None and st.alive_classes()]
+        sources = [(r, st.alive_classes()) for r in range(2, min(f, MAX_ADAMS_PAGE) + 1)
+                   if (st := states.get((s + 1, f - r, w))) is not None]
         for alpha in survivors:
-            # (a) targets (s-1, f+r, w) must be dead or out of the stored page
-            for r in range(2, MAX_ADAMS_PAGE + 1):
-                t = TriDegree(d.s - 1, d.f + r, d.w)
-                if t.f > window.max_f:
-                    break
-                st = run.states.get(t)
-                if st is not None and st.alive_classes():
-                    rep.violations.append(
-                        f"unexcluded differential: d_{r}({name(alpha)}) has live "
-                        f"target {name(st.alive_classes()[0])} at {t}"
-                    )
-            # (b) sources (s+1, f-r, w) in coweight 1
+            for r, st in targets:  # (a) targets must be dead or out of the stored page
+                rep.violations.append(f"unexcluded differential: d_{r}({name(alpha)}) has "
+                                      f"live target {name(st.alive_classes()[0])} at {st.degree}")
             is_h0_tower = alpha.h1 == 0 and alpha.cone is Cone.POSITIVE and not alpha.family
             sym = "h_0" if is_h0_tower else "h_1"
-            for r in range(2, min(d.f, MAX_ADAMS_PAGE) + 1):
-                st = run.states.get(TriDegree(d.s + 1, d.f - r, d.w))
-                for beta in st.alive_classes() if st is not None else ():
+            for r, betas in sources:  # (b) sources in coweight 1
+                for beta in betas:
                     excludes = verdicts.get((beta, sym))
                     if excludes is None:
                         excludes = verdicts[(beta, sym)] = walk_tower(run, beta, sym) == "dies"

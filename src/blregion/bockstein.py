@@ -15,9 +15,9 @@ empty-target vanishing, the positive-cone factorization oracle, the
 factorization of a gamma class through one pure-gamma divisor, dead-target
 vanishing (every cycle its candidate targets span is already a boundary),
 h0/h1 Leibniz transfer and rho-tower transfer; pages past 3 use only rules,
-vanishing and transfer. A class with no rule instance on page r and nothing
-to hit is zero before any class is attempted, so resolve work follows the
-classes d_r can move: at stem 40, 9,888 of the 49,469 page classes.
+vanishing and transfer. A page class with no rule instance on page r and
+nothing to hit is zero without an entry, so resolve work follows the classes
+d_r can move: at stem 40, 9,888 entries over 12 pages, not 49,469.
 The tau-power differentials and their gamma companions are closed forms, not
 rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
 every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
@@ -36,9 +36,9 @@ A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives, the basis classes they
 select and its surviving basis classes cached until the rows change (an E1
-state starts with all three, which its unit-vector cycles fix), so each
-page re-derives the page classes of only the degrees the last page turn
-touched. Bases never change, so the run files each stored class under
+state starts with all three, which its unit-vector cycles fix), so a page
+re-derives page classes only where a turn touched the rows and a mover or a
+transfer asks. Bases never change, so the run files each stored class under
 its state once (``BocksteinRun.home``) and lists, once, the classes each
 scheduled page can move (``BocksteinRun.movers``); the page loop, the
 checks and the Adams layer read a stored class's degree from its home.
@@ -65,8 +65,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from . import gf2
 from .catalog import Catalog
@@ -96,9 +96,9 @@ class ConflictError(EngineError):
 _UNKNOWN = object()
 
 
-@dataclass(frozen=True)
-class Chain:
-    """An F2 sum of basis monomials, split into stored and out-of-window terms."""
+class Chain(NamedTuple):
+    """An F2 sum of basis monomials, split into stored and out-of-window
+    terms; a NamedTuple (no ``__dict__``), true when it has a term."""
 
     terms: FrozenSet[MonomialClass] = frozenset()
     external: FrozenSet[MonomialClass] = frozenset()
@@ -488,13 +488,16 @@ class BocksteinRun:
 
 
 class PageResolver:
-    """Resolves d_r on all alive monomials of one page of ``run``."""
+    """Resolves d_r on the live movers of one page of ``run``; ``values``
+    holds only theirs, as every other page class is zero (``resolved``)."""
 
     def __init__(self, run: BocksteinRun, r: int):
         self.run = run
         self.r = r
         self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
-        self.values: Dict[MonomialClass, object] = {}
+        self.values: Dict[MonomialClass, Chain] = {}
+        #: the page classes among ``run.movers[r]``, set by ``resolve_page``
+        self.live: FrozenSet[MonomialClass] = frozenset()
         self.rule_instances = run.rule_instances.get(r, {})
         #: gamma rho-tower (``m[:3] + m[4:]``) -> its d_r terms, each as
         #: (fields before rho, fields after rho, lift), or _UNKNOWN
@@ -591,25 +594,37 @@ class PageResolver:
 
     # --- transfer passes (use neighbors' resolved values) ------------------------
 
+    def resolved(self, m: MonomialClass) -> Optional[Chain]:
+        """d_r(m) if it is known, else None: the value found for a live
+        mover, or zero for a page class that is no live mover."""
+        val = self.values.get(m)
+        if val is None and m not in self.live:
+            st = self.run.home.get(m)
+            if st is not None and m in st.page_classes():
+                return ZERO
+        return val
+
     def transfer_pass(self, needed: Sequence[MonomialClass]) -> bool:
         changed = False
-        run = self.run
+        run, values, resolved = self.run, self.values, self.resolved
         for m in needed:
-            if m in self.values or m.cone is Cone.POSITIVE:
+            if m in values or m.cone is Cone.POSITIVE:
                 continue
             for u, nb in self._bump_parents(m):
-                if nb in self.values and run.monomial_alive(nb):
-                    self.values[m] = multiply_chain(run, u, self.values[nb])
+                val = resolved(nb)
+                if val is not None and run.monomial_alive(nb):
+                    values[m] = multiply_chain(run, u, val)
                     changed = True
                     break
-            if m in self.values:
+            if m in values:
                 continue
             if m.rho >= 1:
                 shallow = m._replace(rho=m.rho - 1)
-                if shallow in self.values and run.monomial_alive(shallow):
-                    solved = self._rho_lift(m, self.values[shallow])
+                val = resolved(shallow)
+                if val is not None and run.monomial_alive(shallow):
+                    solved = self._rho_lift(m, val)
                     if solved is not _UNKNOWN:
-                        self.values[m] = solved
+                        values[m] = solved
                         changed = True
         return changed
 
@@ -671,22 +686,20 @@ def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
 
 
 def resolve_page(run: BocksteinRun, r: int) -> Dict[MonomialClass, Chain]:
-    """d_r of every class on page r, zero (and logged) where nothing resolves it.
+    """d_r of each live mover of page r, zero (and logged) where nothing
+    resolves it; a page class the result does not hold has d_r = 0.
 
-    ``r`` is a page of ``run.schedule``. Only its movers (``run.movers``)
-    that are page classes are attempted; every other page class is zero
-    before any is attempted, so the transfer passes read it as a resolved
-    neighbour. An attempt reads no other class's value, so the attempts run
-    in page order; what they leave unknown goes through the transfer passes
-    and then the closure log in ``_resolution_order``. The result holds
-    every page class, the zeros first, in state and basis order.
+    ``r`` is a page of ``run.schedule``. Its live movers are its movers
+    (``run.movers``) that are page classes of their home state, read only in
+    the states a mover or a transfer asks about. An attempt reads no other
+    class's value, so the attempts run in page order; what they leave
+    unknown goes through the transfer passes, which read any other page
+    class as a resolved zero, then the closure log in ``_resolution_order``.
     """
     resolver = PageResolver(run, r)
-    values = resolver.values = dict.fromkeys(
-        itertools.chain.from_iterable(map(DegreeState.page_classes, run.states.values())), ZERO)
-    live = [m for m in run.movers[r] if m in values]
-    for m in live:
-        del values[m]
+    values, home = resolver.values, run.home
+    live = [m for m in run.movers[r] if m in home[m].page_classes()]
+    resolver.live = frozenset(live)
     for m in live:
         val = resolver._resolve_raw(m)
         if val is _UNKNOWN and resolver.dead_target(m):
@@ -735,6 +748,8 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
     kernel as their new cycles, and target degrees gain the images as
     boundaries. Every other degree keeps its rows: with d_r zero on all of
     its classes the kernel is the whole page, which is the cycles it has.
+    A target that is no source keeps its cycles too (RREF rows are unique
+    for their span, and the new boundaries were checked to lie in it).
     """
     turned = []
     new_boundaries: Dict[TriDegree, List[int]] = {}
@@ -791,10 +806,12 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
                     v ^= reps[t]
             lifted.append(v)
         st.set_rows(gf2.rref(st.boundaries + tuple(lifted)), st.boundaries)
+    sources = {st.degree for st, _, _ in turned}
     for d, add in new_boundaries.items():
         st = run.states[d]
         boundaries = gf2.rref(st.boundaries + tuple(add))
-        st.set_rows(gf2.rref(st.cycles + tuple(boundaries)), boundaries)
+        cycles = gf2.rref(st.cycles + tuple(boundaries)) if d in sources else st.cycles
+        st.set_rows(cycles, boundaries)
 
 
 def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule]) -> RuleIndex:
@@ -913,7 +930,8 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 dst = home.get(deeper)
                 if dst is None:
                     continue  # tower leaves the window: boundary-marked
-                if not window.stores(dst.degree + TriDegree(1, -1, 0)):
+                s, f, w = dst.degree
+                if not window.stores((s + 1, f - 1, w)):
                     continue  # its would-be source lies outside the window
                 if deeper not in target_monos:
                     rep.violations.append(
@@ -1006,17 +1024,11 @@ def census_report(run: BocksteinRun) -> Report:
     """Exact comparison with the three-family census over the asserted region."""
     rep = Report()
     window = run.window
-    for s in range(0, window.max_stem + 1):
-        for f in range(0, window.max_f + 1):
-            if 2 * f <= s - 2:
-                continue
-            d = TriDegree(s, f, s)
-            want = expected_census_dimension(d, window.max_f)
-            got = run.dimension(d)
-            if want != got:
-                rep.violations.append(
-                    f"census mismatch in {d}: expected {want}, computed {got}"
-                )
+    for d in map(TriDegree._make, window.region_degrees()):
+        want = expected_census_dimension(d, window.max_f)
+        got = run.dimension(d)
+        if want != got:
+            rep.violations.append(f"census mismatch in {d}: expected {want}, computed {got}")
     entries = run.assumptions.entries
     if entries:
         rep.notes.append(

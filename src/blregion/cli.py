@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import List, Optional, Sequence
 
@@ -119,6 +120,20 @@ def report_tables(page: AdamsPage, kind: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # The cyclic collector would rescan the run's many long-lived objects
+    # again and again, though they form no cycle and reference counting
+    # frees them (test_finished_run_is_freed_without_the_cyclic_gc). So one
+    # CLI call pauses it and restores its state; the library never does.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if args.report and args.max_stem < 8:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple, Tuple
 
 
 class TriDegree(NamedTuple):
@@ -63,8 +63,8 @@ class Window:
     def __post_init__(self):
         if self.max_stem < self.min_stem:
             raise ValueError("empty stem range")
-        if self.max_coweight < self.min_coweight:
-            raise ValueError("empty coweight range")
+        if not self.min_coweight <= 0 <= self.max_coweight:  # empty, or no region
+            raise ValueError(f"coweights {self.min_coweight}..{self.max_coweight} leave out 0")
 
     @property
     def max_f(self) -> int:
@@ -95,6 +95,14 @@ class Window:
             and 0 <= d.f <= self.max_f
             and self.min_coweight <= d.coweight <= self.max_coweight
         )
+
+    def region_degrees(self) -> Iterator[Tuple[int, int, int]]:
+        """The region's degrees (s, f, s), stems 0..max_stem and f from above
+        f = s/2 - 1 to ``max_f``, in (s, f) order: plain tuples, which hash
+        and compare as the ``TriDegree`` keys of a run's states do."""
+        for s in range(0, self.max_stem + 1):
+            for f in range(s // 2, self.max_f + 1):  # f > s/2 - 1
+                yield s, f, s
 
     def near_boundary(self, d: TriDegree, reach: int) -> bool:
         """True if d lies below ``min_stem``, within `reach` stems of the

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import subprocess
 import sys
 
@@ -87,9 +90,12 @@ def test_usage_error_exit_code():
     assert run_cli("--coweights", "azz").returncode == 2
 
 
-@pytest.mark.parametrize("arg", ["--max-stem=-5", "--coweights=1..-2"])
+@pytest.mark.parametrize("arg", ["--max-stem=-5", "--coweights=1..-2",
+                                 # a window without coweight 0 asserts nothing the
+                                 # census, the reports or the charts read
+                                 "--coweights=3..4", "--coweights=-9..-8", "--coweights=1..1"])
 def test_empty_window_is_usage_error(arg):
-    r = run_cli(arg)
+    r = run_cli("--max-stem", "8", arg)
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
@@ -254,3 +260,51 @@ def test_cli_import_leaves_out_the_network_stack():
                        timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+
+def _main_in_process(*args):
+    """``blregion.cli.main`` in this process, its output discarded; the exit code."""
+    from blregion.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(args))
+
+
+def _calls(tmp_path):
+    """(exit code, arguments): a chart run, a usage error and the stem-8
+    Mahowald refusal."""
+    chart = ["--chart", "einf", "--out", str(tmp_path / "c.svg")]
+    return [(0, ["--max-stem", "8", "--report", "census", *chart]),
+            (2, ["--max-stem", "8", "--coweights=3..4"]),
+            (3, ["--max-stem", "8", "--report", "mahowald"])]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_state(tmp_path, enabled):
+    # main pauses the cyclic collector for its call and leaves it as it
+    # found it on every exit path
+    try:
+        for code, args in _calls(tmp_path):
+            gc.enable() if enabled else gc.disable()
+            assert _main_in_process(*args) == code, args
+            assert gc.isenabled() is enabled, args
+    finally:
+        gc.enable()
+
+
+def test_main_leaves_the_same_garbage_whatever_the_window(tmp_path):
+    # with the collector off, what a collection finds after main does not
+    # grow with the window or on a refusal: the paused collector costs no
+    # memory that scales with the run
+    found = []
+    gc.collect()
+    gc.disable()
+    try:
+        for args in (["--max-stem", "8", "--report", "census"],
+                     ["--max-stem", "40", "--report", "census"],
+                     ["--max-stem", "8", "--report", "mahowald"]):
+            _main_in_process(*args)
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [found[0]] * 3, found
