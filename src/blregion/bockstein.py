@@ -22,7 +22,7 @@ The tau-power differentials and their gamma companions are closed forms, not
 rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
 every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
 ``pure_gamma_d`` give their d_r; ``index_rules`` refuses a rule that
-contradicts them.
+contradicts them or their products with rho, h_0 and h_1 (``_closed_form_d``).
 ``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
 run only on pages r <= 3 and only for gamma classes with rho >= r (any other
 has no target), and each gamma class is tried at one tau exponent n, the
@@ -176,15 +176,17 @@ def pure_gamma_d(cat: Catalog, j: int, i: int, r: int) -> Optional[MonomialClass
 
 
 def _closed_form_d(cat: Catalog, m: MonomialClass, r: int):
-    """d_r(m) by the closed forms when m is a tau power, or gamma/(rho^j tau^i)
-    with j >= r alive on page r <= 3 (None = zero); _UNKNOWN for any other m."""
-    if m.h0 or m.h1 or m.family or not 1 <= r <= 3:
+    """d_r(m) on a page r <= 3 by the closed forms (None = zero), or _UNKNOWN:
+    d_r(tau^b) times the rest of a positive m with no family factor (rho, h_0
+    and h_1 are permanent cycles), or d_r of gamma/(rho^j tau^i) alive, j >= r."""
+    if m.family or m.cone is Cone.Q or not 1 <= r <= 3:
         return _UNKNOWN
-    if m.cone is Cone.POSITIVE and not m.rho:
-        return tau_power_d(cat, m.tau, r)
-    if m.cone is Cone.GAMMA and m.rho >= r and m.tau % TAU_STEP[r] == 0:
-        return pure_gamma_d(cat, m.rho, m.tau, r)
-    return _UNKNOWN
+    if m.cone is Cone.POSITIVE:
+        dt = tau_power_d(cat, m.tau, r)
+        return dt if dt is None or dt is _UNKNOWN else multiply(cat, dt, m._replace(tau=0))
+    if m.h0 or m.h1 or m.rho < r or m.tau % TAU_STEP[r]:
+        return _UNKNOWN
+    return pure_gamma_d(cat, m.rho, m.tau, r)
 
 
 # --- positive-cone oracle -------------------------------------------------------
@@ -268,14 +270,16 @@ class PositiveOracle:
 class DegreeState:
     """The page in one tridegree: cycles and boundaries as ``gf2`` RREF rows.
 
-    Three answers are cached: ``reps()`` (one representative per page
-    class), ``page_classes()`` (the basis classes those representatives
-    select) and ``alive_classes()`` (the basis classes that are themselves
-    page classes: a cycle and not a boundary). An ``initial`` (E1) state
-    starts with all three filled, since unit-vector cycles and no boundaries
-    fix them. ``cycles`` and ``boundaries`` are read-only tuples, and
-    ``set_rows`` is the only way to replace them; it drops all three
-    caches, so a cached answer always belongs to the current rows.
+    Bit t of a vector is ``basis[t]``; ``vector`` and ``classes`` are the one
+    way between basis classes and vectors. Three answers are cached:
+    ``reps()`` (one representative per page class), ``page_classes()`` (the
+    basis classes those representatives select) and ``alive_classes()`` (the
+    basis classes that are themselves page classes: a cycle and not a
+    boundary). An ``initial`` (E1) state starts with all three filled, since
+    unit-vector cycles and no boundaries fix them. ``cycles`` and
+    ``boundaries`` are read-only tuples, and ``set_rows`` is the only way to
+    replace them; it drops all three caches, so a cached answer always
+    belongs to the current rows.
     """
 
     __slots__ = ("degree", "basis", "_cycles", "_boundaries", "_reps", "_classes", "_alive")
@@ -322,30 +326,24 @@ class DegreeState:
             picked = 0
             for rep in self.reps():
                 picked |= rep
-            self._classes = tuple(m for t, m in enumerate(self.basis) if (picked >> t) & 1)
+            self._classes = self.classes(picked)
         return self._classes
 
-    def vector(self, m: MonomialClass) -> int:
-        return 1 << self.basis.index(m)
+    def vector(self, monos: Iterable[MonomialClass]) -> int:
+        """The E1 vector of the sum of the basis classes ``monos``."""
+        v, index = 0, self.basis.index
+        for m in monos:
+            v ^= 1 << index(m)
+        return v
 
-    def in_cycles(self, v: int) -> bool:
-        return gf2.reduce(v, self.cycles) == 0
+    def classes(self, v: int) -> Tuple[MonomialClass, ...]:
+        """The basis classes v has a bit on, in basis order."""
+        return tuple(m for t, m in enumerate(self.basis) if v >> t & 1)
 
-    def reduce_mod_boundaries(self, v: int) -> int:
-        return gf2.reduce(v, self.boundaries)
-
-    def sums_are_boundaries(self, monos: Sequence[MonomialClass],
-                            kernel: Iterable[int]) -> bool:
-        """Whether each kernel vector, read as the sum of the ``monos`` its
+    def sums_are_boundaries(self, vectors: Sequence[int], kernel: Iterable[int]) -> bool:
+        """Whether each kernel vector, read as the sum of the ``vectors`` its
         bits select, is a boundary."""
-        for kv in kernel:
-            lifted = 0
-            for t, mono in enumerate(monos):
-                if (kv >> t) & 1:
-                    lifted ^= self.vector(mono)
-            if self.reduce_mod_boundaries(lifted):
-                return False
-        return True
+        return not any(gf2.reduce(gf2.combine(vectors, kv), self.boundaries) for kv in kernel)
 
     def alive_classes(self) -> Tuple[MonomialClass, ...]:
         """The basis classes whose own vector is a cycle and not a boundary,
@@ -356,9 +354,6 @@ class DegreeState:
                                 if not gf2.reduce(1 << t, cycles)
                                 and gf2.reduce(1 << t, boundaries))
         return self._alive
-
-    def monomial_alive(self, m: MonomialClass) -> bool:
-        return m in self.alive_classes()
 
 
 def targets_in(st: DegreeState, m: MonomialClass, r: int) -> Tuple[MonomialClass, ...]:
@@ -388,8 +383,8 @@ class BocksteinRun:
     the index's caches. Bases never change, so ``home`` (each stored E1
     class to its degree state) holds for the whole run; ``degree`` reads
     it and falls back to ``degree_of`` for a class no stored basis holds,
-    so every answer is the one ``degree_of`` gives, and ``monomial_alive``
-    reads the state of that degree. The movers are read once per rho-tower.
+    so every answer is the one ``degree_of`` gives; ``monomial_alive`` reads
+    the home alone. The movers are read once per rho-tower.
     """
 
     cat: Catalog
@@ -480,7 +475,7 @@ class BocksteinRun:
         return st.dim() if st else 0
 
     def monomial_alive(self, m: MonomialClass) -> bool:
-        st = self.states.get(self.degree(m))
+        st = self.home.get(m)
         return st is not None and m in st.alive_classes()
 
 
@@ -588,9 +583,9 @@ class PageResolver:
         st = run.states.get(run.degree(m) + DIFFERENTIAL_SHIFT)
         if st is None:
             return False
-        candidates = targets_in(st, m, self.r)
-        _, kernel = gf2.solve([gf2.reduce(st.vector(c), st.cycles) for c in candidates], 0)
-        return st.sums_are_boundaries(candidates, kernel)
+        units = [st.vector((c,)) for c in targets_in(st, m, self.r)]
+        _, kernel = gf2.solve([gf2.reduce(u, st.cycles) for u in units], 0)
+        return st.sums_are_boundaries(units, kernel)
 
     # --- transfer passes (use neighbors' resolved values) ------------------------
 
@@ -655,30 +650,22 @@ class PageResolver:
         s_state = run.states.get(target_deg + TriDegree(-1, 0, -1))
         if t_state is None or s_state is None:
             return _UNKNOWN
+        rho, basis = make_positive(cat, rho=1), s_state.basis
+        if not all(t in basis for t in shallow_value.terms):
+            return _UNKNOWN
         candidates = targets_in(t_state, m, r)
-        rho = make_positive(cat, rho=1)
-        cols = []
-        for c in candidates:
-            prod = multiply(cat, rho, c)
-            vec = 0
-            if prod is not None and prod in s_state.basis:
-                vec = s_state.vector(prod)
-            cols.append(s_state.reduce_mod_boundaries(vec))
-        rhs = 0
-        for t in shallow_value.terms:
-            if t not in s_state.basis:
-                return _UNKNOWN
-            rhs ^= s_state.vector(t)
-        rhs = s_state.reduce_mod_boundaries(rhs)
+        cols = [gf2.reduce(s_state.vector((p,) if p in basis else ()), s_state.boundaries)
+                for p in (multiply(cat, rho, c) for c in candidates)]
+        rhs = gf2.reduce(s_state.vector(shallow_value.terms), s_state.boundaries)
         sol, kernel = gf2.solve(cols, rhs)
         if sol is None:
             raise ConflictError(
                 f"rho-tower transfer inconsistent at {display(m)} page {r}"
             )
-        if not t_state.sums_are_boundaries(candidates, kernel):
+        units = [t_state.vector((c,)) for c in candidates]
+        if not t_state.sums_are_boundaries(units, kernel):
             return _UNKNOWN  # genuinely ambiguous in the page
-        picked = [candidates[c_i] for c_i in range(len(candidates)) if (sol >> c_i) & 1]
-        return chain_of(run, picked)
+        return chain_of(run, t_state.classes(gf2.combine(units, sol)))
 
 
 def _resolution_order(monos: Iterable[MonomialClass]) -> List[MonomialClass]:
@@ -729,27 +716,27 @@ def _sum_values(st: DegreeState, vec: int, diffs: Dict[MonomialClass, Chain]) ->
     if vec and not vec & (vec - 1):
         return diffs.get(st.basis[vec.bit_length() - 1], ZERO)
     ch = ZERO
-    for t, mono in enumerate(st.basis):
-        if (vec >> t) & 1:
-            ch ^= diffs.get(mono, ZERO)
+    for mono in st.classes(vec):
+        ch ^= diffs.get(mono, ZERO)
     return ch
 
 
 def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> None:
     """Homology with respect to d_r, in the degrees a nonzero d_r leaves or enters.
 
-    In each source degree (some class has a nonzero value) the column of a
-    page representative is its value's stored part as an E1 vector, reduced
-    modulo the target's RREF boundaries, plus one bit per distinct
-    ``external`` part above the target's basis. Every check runs before any
-    row changes: each stored value has a home degree and is a page-r class,
-    and d_r of each column's stored part is a boundary (d_r o d_r = 0;
-    external parts are invisible downstream). Source degrees then keep the
-    kernel as their new cycles, and target degrees gain the images as
-    boundaries. Every other degree keeps its rows: with d_r zero on all of
-    its classes the kernel is the whole page, which is the cycles it has.
-    A target that is no source keeps its cycles too (RREF rows are unique
-    for their span, and the new boundaries were checked to lie in it).
+    The source degrees (some class has a nonzero value) are visited once, in
+    sorted order. The column of a page representative is its value's stored
+    part as an E1 vector, reduced modulo the target's RREF boundaries, plus
+    one bit per distinct ``external`` part above the target's basis. Each
+    column is checked as it is made: its value has a stored home degree and
+    is a page-r class, and d_r of its stored part is a boundary
+    (d_r o d_r = 0; external parts are invisible downstream). Every check
+    runs before any row changes. Source degrees then keep the kernel as
+    their new cycles, and target degrees gain the images as boundaries.
+    Every other degree keeps its rows: with d_r zero on all of its classes
+    the kernel is the whole page, which is the cycles it has. A target that
+    is no source keeps its cycles too (RREF rows are unique for their span,
+    and the new boundaries were checked to lie in it).
     """
     turned = []
     new_boundaries: Dict[TriDegree, List[int]] = {}
@@ -766,47 +753,31 @@ def turn_page(run: BocksteinRun, diffs: Dict[MonomialClass, Chain], r: int) -> N
                     raise EngineError(
                         f"value {ch.describe()} of d_{r} has no stored home degree"
                     )
-                raw = 0
-                for mono in ch.terms:
-                    raw ^= t_state.vector(mono)
-                if not t_state.in_cycles(raw):
+                raw = t_state.vector(ch.terms)
+                if gf2.reduce(raw, t_state.cycles):
                     raise ConflictError(
                         f"d_{r} value {ch.describe()} is not a page-{r} class"
                     )
                 new_boundaries.setdefault(t_state.degree, []).append(raw)
-                col = t_state.reduce_mod_boundaries(raw)
+                col = gf2.reduce(raw, t_state.boundaries)
+                # d_r o d_r: no row changes before the kernel step, and the
+                # target, a source degree if d_r(col) has a stored term, sorts
+                # before d, so its own home-degree check has already run
+                second = _sum_values(t_state, col, diffs)
+                if second.terms:
+                    nxt = run.states[t_state.degree + DIFFERENTIAL_SHIFT]
+                    if gf2.reduce(nxt.vector(second.terms), nxt.boundaries):
+                        raise ConflictError(f"d_{r} o d_{r} != 0 on a class of degree {d}")
             if ch.external:
                 at = externals.setdefault(ch.external, len(externals))
                 col |= 1 << ((len(t_state.basis) if t_state else 0) + at)
             cols.append(col)
-        turned.append((st, t_state, cols))
-    for st, t_state, cols in turned:
-        if t_state is None:
-            continue
-        stored = (1 << len(t_state.basis)) - 1
-        for col in cols:
-            # d_r(col) has a stored term only if some page class of the target
-            # does, so the loop above has checked that its home degree exists
-            second = _sum_values(t_state, col & stored, diffs)
-            if second.terms:
-                nxt = run.states[t_state.degree + DIFFERENTIAL_SHIFT]
-                v = 0
-                for mono in second.terms:
-                    v ^= nxt.vector(mono)
-                if nxt.reduce_mod_boundaries(v):
-                    raise ConflictError(f"d_{r} o d_{r} != 0 on a class of degree {st.degree}")
-    for st, _, cols in turned:
-        reps = st.reps()
+        turned.append((st, cols))
+    for st, cols in turned:
         _, kernel = gf2.solve(cols, 0)
-        lifted = []
-        for kv in kernel:
-            v = 0
-            for t in range(len(reps)):
-                if (kv >> t) & 1:
-                    v ^= reps[t]
-            lifted.append(v)
-        st.set_rows(gf2.rref(st.boundaries + tuple(lifted)), st.boundaries)
-    sources = {st.degree for st, _, _ in turned}
+        lifted = tuple(gf2.combine(st.reps(), kv) for kv in kernel)
+        st.set_rows(gf2.rref(st.boundaries + lifted), st.boundaries)
+    sources = {st.degree for st, _ in turned}
     for d, add in new_boundaries.items():
         st = run.states[d]
         boundaries = gf2.rref(st.boundaries + tuple(add))
@@ -824,7 +795,8 @@ def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule])
     still checked as it streams by: two rules that give the same source
     different targets on one page raise ``ConflictError``, wherever that
     source lies, and so does a rule that contradicts the closed forms
-    (``_closed_form_d``).
+    (``_closed_form_d``) on a pure gamma class or a positive class with no
+    family factor, such as d_1(tau h_0) = rho h_0^2.
     """
     by_page: RuleIndex = {}
     seen: Dict[Tuple[int, MonomialClass], Optional[MonomialClass]] = {}
@@ -875,12 +847,8 @@ def _page_reduce(run: BocksteinRun, ch: Chain) -> Chain:
     st = run.states.get(run.degree(next(iter(ch.terms))))
     if st is None or not st.boundaries:
         return ch
-    vec = 0
-    for m in ch.terms:
-        vec ^= st.vector(m)
-    vec = st.reduce_mod_boundaries(vec)
-    terms = frozenset(st.basis[i] for i in range(len(st.basis)) if (vec >> i) & 1)
-    return Chain(terms, ch.external)
+    return Chain(frozenset(st.classes(gf2.reduce(st.vector(ch.terms), st.boundaries))),
+                 ch.external)
 
 
 # --- structural checks and census -----------------------------------------------
@@ -914,16 +882,16 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
         for val in diffs.values():
             target_monos.update(val.terms)
             target_monos.update(val.external)
-        for src, val in sorted(diffs.items()):
+        # (source, 0 for itself or 1 for a term, class, its division): sorted
+        # only to write the messages, by source and then by term
+        failing = []
+        for src, val in diffs.items():
             if src.cone is Cone.POSITIVE:
                 continue
             deeper = MonomialClass._make(src[:3] + (src.rho + 1,) + src[4:])
             if deeper in home and not diffs.get(deeper):
-                rep.violations.append(
-                    f"page {r}: {display(src)} supports a differential but its "
-                    f"rho-division {display(deeper)} does not"
-                )
-            for mono in sorted(val.terms):
+                failing.append((src, 0, src, deeper))
+            for mono in val.terms:
                 if mono.cone is Cone.POSITIVE:
                     continue
                 deeper = MonomialClass._make(mono[:3] + (mono.rho + 1,) + mono[4:])
@@ -934,10 +902,11 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
                 if not window.stores((s + 1, f - 1, w)):
                     continue  # its would-be source lies outside the window
                 if deeper not in target_monos:
-                    rep.violations.append(
-                        f"page {r}: {display(mono)} receives a differential but its "
-                        f"rho-division {display(deeper)} receives none"
-                    )
+                    failing.append((src, 1, mono, deeper))
+        for _, side, mono, deeper in sorted(failing):
+            does, rest = ("receives", "receives none") if side else ("supports", "does not")
+            rep.violations.append(f"page {r}: {display(mono)} {does} a differential but its "
+                                  f"rho-division {display(deeper)} {rest}")
 
     # The negative-coweight vanishing wedge. Divided classes riding the
     # stem-0 h0 tower are exempt: the underlying vanishing line only
@@ -990,7 +959,7 @@ def walk_tower(run: BocksteinRun, m: MonomialClass, sym: str) -> str:
         st = home.get(m)
         if st is None:
             return "dies" if window.stores(degree_of(cat, m)) else "leaves"
-        if not st.monomial_alive(m):
+        if m not in st.alive_classes():
             return "dies"
     return "unbounded"
 

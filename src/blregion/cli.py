@@ -56,7 +56,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser.add_argument("--out", default=None)
     parser.add_argument("--rules-override", default=None)
     parser.add_argument(
-        "--strict", action="store_true", help="turn census warnings into errors"
+        "--strict", action="store_true", help="turn check warnings into errors"
     )
     ns = parser.parse_args(argv)
     lo, _, hi = ns.coweights.partition("..")

@@ -40,6 +40,16 @@ def insert(rows: List[int], v: int) -> int:
     return v
 
 
+def combine(rows: Sequence[int], mask: int) -> int:
+    """The XOR of the rows that mask selects (bit t selects rows[t])."""
+    v = 0
+    while mask:
+        low = mask & -mask
+        v ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return v
+
+
 def rref(rows: Sequence[int]) -> List[int]:
     """The RREF rows of span(rows)."""
     out: List[int] = []

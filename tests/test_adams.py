@@ -245,7 +245,7 @@ def _adams_tower_excludes(run, beta, sym):
         st = run.states.get(ndeg)
         if st is None or not run.window.stores(ndeg):
             return False
-        if not st.monomial_alive(nxt):
+        if nxt not in st.alive_classes():
             return True
         cur, steps = nxt, steps + 1
     return False
@@ -262,7 +262,7 @@ def _structural_tower_fate(run, m, sym):
         nst = run.home.get(nxt)
         if nst is None and not window.stores(degree_of(cat, nxt)):
             return "leaves"
-        if nst is None or not nst.monomial_alive(nxt):
+        if nst is None or nxt not in nst.alive_classes():
             return "dies"
         cur, height = nxt, height + 1
     return "unbounded"

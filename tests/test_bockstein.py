@@ -1,5 +1,6 @@
 """Engine tests: closure golden values, page turning, census, constraints."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -142,7 +143,7 @@ def test_positive_coweight_zero_page_two(cat, run24):
 def test_untouched_degree_copied_verbatim(cat, run10):
     # a degree with no differentials in or out keeps its basis: h_1^2 at (2,2,2)
     st = run10.states[TriDegree(2, 2, 2)]
-    assert st.dim() == 1 and st.monomial_alive(make_positive(cat, h1=2))
+    assert st.dim() == 1 and make_positive(cat, h1=2) in st.alive_classes()
 
 
 def test_census_matches_and_examples(cat, run24):
@@ -226,7 +227,7 @@ def test_page_turn_dimensions_against_dense_oracle(cat):
                             vec ^= 1 << t_state.basis.index(t)
                         ext = ext ^ ch.external
                 if t_state is not None:
-                    vec = t_state.reduce_mod_boundaries(vec)
+                    vec = gf2.reduce(vec, t_state.boundaries)
                 if ext:
                     key = ext
                     if key not in externals:
@@ -280,9 +281,9 @@ def _dense_turn(states, diffs, r):
                     ch ^= diffs.get(mono, ZERO)
             raw = 0
             for mono in ch.terms:
-                raw ^= t_state.vector(mono)
+                raw ^= t_state.vector([mono])
             page_vec = 0
-            reduced = t_state.reduce_mod_boundaries(raw) if raw else 0
+            reduced = gf2.reduce(raw, t_state.boundaries) if raw else 0
             if reduced:
                 page_vec, _ = gf2.solve(t_reps, reduced)
             if ch.external:
@@ -372,6 +373,23 @@ def test_cached_page_classes_follow_the_rows(cat):
             before[d] = want
         turn_page(run, resolve_page(run, r), r)
     assert moved > 100
+
+
+def test_classes_read_back_the_vector_of_a_subset(run24):
+    # DegreeState.vector and .classes are the page layer's one way between
+    # basis classes and E1 vectors: classes(vector(S)) is S in basis order,
+    # whatever order S is given in
+    rng = random.Random(5)
+    checked = 0
+    for st in run24.states.values():
+        subsets = [[], list(st.basis)]
+        subsets += [[m for m in st.basis if rng.random() < 0.5] for _ in range(3)]
+        for subset in subsets:
+            vec = st.vector(rng.sample(subset, len(subset)))
+            assert bin(vec).count("1") == len(subset)
+            assert st.classes(vec) == tuple(subset), st.degree
+            checked += 1
+    assert checked > 500
 
 
 def test_home_index_files_every_class_in_its_state(cat, run24):
@@ -807,7 +825,7 @@ def _per_term_structural(run):
                         f"h1 tower on {display(m)} leaves the window unresolved"
                     )
                     break
-                if nst is None or not nst.monomial_alive(nxt):
+                if nst is None or nxt not in nst.alive_classes():
                     ended_by_zero = True
                     break
                 cur, height = nxt, height + 1
@@ -941,17 +959,17 @@ def test_dead_target_reads_the_span_not_each_monomial(cat):
     src = make_positive(twin, tau=1, family="P^k h_2")
     st = run.states[degree_of(twin, src) + DIFFERENTIAL_SHIFT]
     c1, c2 = targets_in(st, src, 1)
-    both = st.vector(c1) | st.vector(c2)
-    others = [st.vector(m) for m in st.basis if m not in (c1, c2)]
+    both = st.vector([c1, c2])
+    others = [st.vector([m]) for m in st.basis if m not in (c1, c2)]
     resolver = PageResolver(run, 1)
     # each candidate is dead (not a cycle) but their sum is a live class
     st.set_rows(gf2.rref(others + [both]), [])
-    assert not st.monomial_alive(c1) and not st.monomial_alive(c2)
+    assert c1 not in st.alive_classes() and c2 not in st.alive_classes()
     assert not resolver.dead_target(src)
     # with the sum a boundary every cycle of the span is dead; the other
     # classes of the degree stay live, and are no candidates
     st.set_rows(gf2.rref(others + [both]), [both])
-    assert others and all(st.reduce_mod_boundaries(v) for v in others)
+    assert others and all(gf2.reduce(v, st.boundaries) for v in others)
     assert resolver.dead_target(src)
 
 

@@ -198,8 +198,9 @@ def test_bad_rules_override_is_usage_error(tmp_path, line):
     # the target supports a d_1, so it is not a cycle on page 3
     ("3 | gamma/(rho^4 tau) h_1 | gamma/(rho tau^3) h_0 h_2 | 0..0",
      "d_3 value gamma/(rho tau^3) h_0 h_2 is not a page-3 class"),
-    # the target degree is right, but d_1 must raise the rho exponent by 1
-    ("1 | tau h_1 | h_0^2 | 0..0", "d_1(tau h_1) = h_0^2 breaks the filtration jump"),
+    # the target degree is right, but d_1 must lower the divided rho exponent by 1
+    ("1 | gamma/tau h_1 | gamma/tau^2 h_0^2 | 0..0",
+     "d_1(gamma/tau h_1) = gamma/tau^2 h_0^2 breaks the filtration jump"),
 ], ids=["d-squared", "not-a-page-class", "filtration-jump"])
 def test_d_squared_nonzero_is_engine_error(tmp_path, line, message):
     # each override passes the load-time checks; the run must refuse it
@@ -226,7 +227,10 @@ def test_override_against_seed_outside_window_is_engine_error(tmp_path):
 @pytest.mark.parametrize("line, named", [
     ("1 | tau^{2k+1} | 0 | 0..3", "tau at page 1"),
     ("2 | gamma/(rho^2 tau^{4k+2}) | 0 | 0..2", "gamma/(rho^2 tau^2) at page 2"),
-], ids=["tau-power", "pure-gamma"])
+    # Leibniz: d_1(tau h_0) = d_1(tau) h_0 = rho h_0^2, which the positive
+    # oracle reads; declaring it zero would keep tau h_0 alive on page 2
+    ("1 | tau h_0 | 0 | 0", "tau h_0 at page 1"),
+], ids=["tau-power", "pure-gamma", "leibniz-positive"])
 def test_override_against_closed_form_is_engine_error(tmp_path, line, named):
     # the tau-power differentials are closed forms, not rules; an override
     # that contradicts them is a conflict, as one against a seeded rule is
@@ -236,6 +240,39 @@ def test_override_against_closed_form_is_engine_error(tmp_path, line, named):
     assert r.returncode == 3, r.stderr
     assert f"two rules disagree on {named}" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_override_agreeing_with_leibniz_changes_nothing(tmp_path):
+    # d_1(tau h_0) = rho h_0^2 restates the closed form: the run accepts it
+    # and gives the plain run's pages and closure log
+    from blregion import Window, load_catalog, run_bockstein
+    from blregion.rules import load_rule_overrides
+
+    rules = tmp_path / "rules.txt"
+    rules.write_text("1 | tau h_0 | rho h_0^2 | 0\n")
+    r = run_cli("--report", "census", "--max-stem", "16", "--rules-override", str(rules))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("--report", "census", "--max-stem", "16").stdout
+    cat, window = load_catalog(), Window(max_stem=16)
+    plain = run_bockstein(cat, window)
+    run = run_bockstein(cat, window, extra_rules=load_rule_overrides(cat, str(rules)))
+    assert {d: st.dim() for d, st in run.states.items()} == {
+        d: st.dim() for d, st in plain.states.items()}
+    assert run.differentials == plain.differentials
+    assert run.assumptions.entries == plain.assumptions.entries
+
+
+@pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)], ids=["strict", "plain"])
+def test_strict_turns_a_check_warning_into_an_error(monkeypatch, capsys, strict, code):
+    # no window the suite runs makes a check warn (the structural check's
+    # "leaves the window" is the only warning), so one is injected
+    import blregion.cli
+    from blregion.bockstein import Report
+
+    monkeypatch.setattr(blregion.cli, "check_structural_constraints",
+                        lambda run: Report(warnings=["injected"]))
+    assert blregion.cli.main(["--max-stem", "8"] + ["--strict"] * strict) == code
+    assert "structural warning: injected" in capsys.readouterr().err
 
 
 def test_coweights_flag():

@@ -1,6 +1,6 @@
 import random
 
-from blregion.gf2 import insert, reduce, rref, solve, subquotient_basis
+from blregion.gf2 import combine, insert, reduce, rref, solve, subquotient_basis
 
 # --- reference implementations: the routines the RREF-row API replaced ---------
 
@@ -138,8 +138,11 @@ def test_rank_plus_nullity_random():
 def test_matches_reference_routines():
     # each old result is unique, so the new routines must reproduce it exactly
     rng = random.Random(11)
+    masks = random.Random(13)  # its own stream, so the matrices stay the ones above
     for trial in range(4000):
         cols, n_rows = random_matrix(rng, sparse=trial % 2 == 0)
+        mask = masks.getrandbits(len(cols)) if cols else 0
+        assert combine(cols, mask) == apply(cols, mask)
         rows, pivots = ref_rref(cols, n_rows)
         assert rref(cols) == rows
         assert solve(cols, 0)[1] == ref_kernel(cols, n_rows)
