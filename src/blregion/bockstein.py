@@ -176,17 +176,19 @@ def pure_gamma_d(cat: Catalog, j: int, i: int, r: int) -> Optional[MonomialClass
 
 
 def _closed_form_d(cat: Catalog, m: MonomialClass, r: int):
-    """d_r(m) on a page r <= 3 by the closed forms (None = zero), or _UNKNOWN:
-    d_r(tau^b) times the rest of a positive m with no family factor (rho, h_0
-    and h_1 are permanent cycles), or d_r of gamma/(rho^j tau^i) alive, j >= r."""
+    """d_r(m) on a page r <= 3 by the closed forms (None = zero), or _UNKNOWN,
+    for an m with no family factor (rho, h_0 and h_1 are permanent cycles):
+    d_r(tau^b) times the rest of a positive m, or d_r(gamma/(rho^j tau^i))
+    times the h_0^a h_1^b of a gamma m, with the pure class alive, j >= r."""
     if m.family or m.cone is Cone.Q or not 1 <= r <= 3:
         return _UNKNOWN
     if m.cone is Cone.POSITIVE:
         dt = tau_power_d(cat, m.tau, r)
         return dt if dt is None or dt is _UNKNOWN else multiply(cat, dt, m._replace(tau=0))
-    if m.h0 or m.h1 or m.rho < r or m.tau % TAU_STEP[r]:
+    if m.rho < r or m.tau % TAU_STEP[r]:
         return _UNKNOWN
-    return pure_gamma_d(cat, m.rho, m.tau, r)
+    dg = pure_gamma_d(cat, m.rho, m.tau, r)
+    return dg if dg is None else multiply(cat, make_positive(cat, h0=m.h0, h1=m.h1), dg)
 
 
 # --- positive-cone oracle -------------------------------------------------------
@@ -795,8 +797,8 @@ def index_rules(cat: Catalog, window: Window, rules: Iterable[DifferentialRule])
     still checked as it streams by: two rules that give the same source
     different targets on one page raise ``ConflictError``, wherever that
     source lies, and so does a rule that contradicts the closed forms
-    (``_closed_form_d``) on a pure gamma class or a positive class with no
-    family factor, such as d_1(tau h_0) = rho h_0^2.
+    (``_closed_form_d``) on a class with no family factor, such as
+    d_1(tau h_0) = rho h_0^2 or d_2(gamma/(rho^2 tau^2) h_1) = gamma/tau^3 h_1^2.
     """
     by_page: RuleIndex = {}
     seen: Dict[Tuple[int, MonomialClass], Optional[MonomialClass]] = {}

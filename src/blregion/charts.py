@@ -10,8 +10,9 @@ is deterministic: stable ordering and fixed precision throughout.
 
 Dots, lines and arrows are NamedTuples, so lines and arrows sort as their
 field tuples. A chart places each spot's classes as ``adams.region`` yields
-them, degree by degree, and each renderer formats each distinct coordinate
-once per call.
+them and reads each rho- and h1-line off one tower step (``_tower_steps``).
+A document keeps its parts in drawing order, and each renderer writes them
+as stored, formatting each distinct coordinate once per call.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _DOT_ORDER = itemgetter(0, 1, 3, 2, 4)
 
 @dataclass
 class ChartDocument:
+    """A chart's parts, each list in drawing order (dots by ``_DOT_ORDER``,
+    lines and arrows as tuples), which ``chart_from_page`` and ``ko_chart``
+    keep and the renderers write as stored."""
+
     title: str
     x_max: int
     y_max: int
@@ -65,29 +70,34 @@ class ChartDocument:
     lines: List[Line] = field(default_factory=list)
     arrows: List[Arrow] = field(default_factory=list)
 
-    def sorted_parts(self):
-        """Dots, lines and arrows in drawing order; lines and arrows sort as
-        their field tuples."""
-        return sorted(self.dots, key=_DOT_ORDER), sorted(self.lines), sorted(self.arrows)
-
-    def dot_census(self) -> Dict[Tuple[int, int], int]:
-        out: Dict[Tuple[int, int], int] = {}
-        for d in self.dots:
-            out[(d.x, d.y)] = out.get((d.x, d.y), 0) + 1
-        return out
-
 
 #: fan-out offsets (in chart units) for classes stacked at one spot
 _FAN = [(0.0, 0.0), (0.22, 0.1), (-0.22, -0.1), (0.22, -0.1), (-0.22, 0.1)]
 
 
+def _tower_steps(m: MonomialClass) -> Tuple[tuple, tuple]:
+    """The rho- and h1-neighbours of a stored class m, as plain tuples (they
+    hash and compare as ``MonomialClass`` keys do): rho-exponent +1 on the
+    positive cone and -1 on the gamma and Q parts; h1-exponent +1, or k + 1
+    on the Q part. Each is the product: rho acts through its exponent alone,
+    zero only at divided exponent 0, whose step is never placed; an
+    h1-product is zero (h0 h1 = 0, tau h1^4 = 0, family h1-heights, gamma
+    h1^4) only where the step is no E1 class. The resolver's bump parents
+    and the structural check's rho-division take these steps backwards."""
+    cone, family, k, rho, tau, h0, h1 = m
+    rho_step = (cone, family, k, rho + 1 if cone is Cone.POSITIVE else rho - 1, tau, h0, h1)
+    if cone is Cone.Q:
+        return rho_step, (cone, family, k + 1, rho, tau, h0, h1)
+    return rho_step, (cone, family, k, rho, tau, h0, h1 + 1)
+
+
 def chart_from_page(source, kind: str = "e2") -> ChartDocument:
     """Region chart of the final page ("e2") or with hidden extensions ("einf"),
-    over the window's asserted stems and its filtration bound."""
-    if isinstance(source, AdamsPage):
-        page, run = source, source.run
-    else:
-        page, run = None, source
+    over the window's asserted stems and its filtration bound. Rho- and
+    h1-lines join tower steps; the zero-stem h0-lines keep the product, whose
+    one rewrite (h0^2 P^k h_2 = tau P^k h_1^3) is an h0 rule. ``region``
+    gives the dots in drawing order; the lines are sorted once."""
+    page, run = (source, source.run) if isinstance(source, AdamsPage) else (None, source)
     if kind == "einf" and page is None:
         raise ValueError("an extension-decorated page is required for the einf chart")
     cat, window = run.cat, run.window
@@ -100,19 +110,16 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
         for i, m in enumerate(survivors):
             dx, dy = _FAN[i % len(_FAN)]
             placement[m] = (d.s + dx, d.f + dy)
-            label = ""
-            if m.cone is Cone.Q and m.rho == 0 and m.k == 0:
-                label = display(m)
+            label = display(m) if m.cone is Cone.Q and m.rho == 0 and m.k == 0 else ""
             positive = m.cone is Cone.POSITIVE
             doc.dots.append(Dot(d.s, d.f, BLUE if positive else GRAY, i, label))
             if positive and d.s == 0:
                 stem_zero.append(m)
 
-    for m in sorted(placement):
-        for sym, kind_name in (("rho", "rho"), ("h_1", "h1")):
-            n = module_action(cat, sym, m)
+    for m, (x, y) in placement.items():
+        for kind_name, n in zip(("rho", "h1"), _tower_steps(m)):
             if n in placement:
-                doc.lines.append(Line(kind_name, *placement[m], *placement[n]))
+                doc.lines.append(Line(kind_name, x, y, *placement[n]))
     for m in stem_zero:
         n = module_action(cat, "h_0", m)
         if n in placement:
@@ -122,11 +129,10 @@ def chart_from_page(source, kind: str = "e2") -> ChartDocument:
         doc.arrows.append(Arrow(0.0, float(y_max), "up"))
 
     if kind == "einf":
-        for src, tgt in sorted(page.hidden_rho.items()):
+        for src, tgt in page.hidden_rho.items():
             if src in placement and tgt in placement:
-                x1, y1 = placement[src]
-                x2, y2 = placement[tgt]
-                doc.lines.append(Line("hidden", x1, y1, x2, y2, dashed=True))
+                doc.lines.append(Line("hidden", *placement[src], *placement[tgt], dashed=True))
+    doc.lines.sort()
     return doc
 
 
@@ -160,9 +166,7 @@ def ko_chart() -> ChartDocument:
                 if style == "rholines":
                     doc.lines.append(Line("rho", x + t, y + t, x + t - 1, y + t))
                 if style == "dashes":
-                    doc.lines.append(
-                        Line("hidden", x + t, y + t, x + t - 1, y + t + 1, dashed=True)
-                    )
+                    doc.lines.append(Line("hidden", x + t, y + t, x + t - 1, y + t + 1, True))
                 if t > 0:
                     doc.lines.append(Line("h1", x + t - 1, y + t - 1, x + t, y + t))
                 t += 1
@@ -180,6 +184,9 @@ def ko_chart() -> ChartDocument:
                     break
         else:
             raise ValueError(f"unknown chart directive {op!r}")
+    doc.dots.sort(key=_DOT_ORDER)
+    doc.lines.sort()
+    doc.arrows.sort()
     return doc
 
 
@@ -250,19 +257,18 @@ def _svg(doc: ChartDocument) -> bytes:
             f'<text x="{px(0) - 14:.1f}" y="{py(t) + 3:.1f}" font-size="9" '
             f'text-anchor="middle">{t}</text>\n'
         )
-    dots, lines, arrows = doc.sorted_parts()
     x_text = _Formatted(lambda x: f"{px(x):.1f}")
     y_text = _Formatted(lambda y: f"{py(y):.1f}")
-    for ln in lines:
-        dash = ' stroke-dasharray="5,3"' if ln.dashed else ""
+    for kind, lx1, ly1, lx2, ly2, dashed in doc.lines:
+        dash = ' stroke-dasharray="5,3"' if dashed else ""
         out.append(
-            f'<line x1="{x_text[ln.x1]}" y1="{y_text[ln.y1]}" x2="{x_text[ln.x2]}" '
-            f'y2="{y_text[ln.y2]}" stroke="{_LINE_COLORS[ln.kind]}" '
+            f'<line x1="{x_text[lx1]}" y1="{y_text[ly1]}" x2="{x_text[lx2]}" '
+            f'y2="{y_text[ly2]}" stroke="{_LINE_COLORS[kind]}" '
             f'stroke-width="1.3"{dash}/>\n'
         )
-    for ar in arrows:
-        if ar.direction == "up":
-            x, y0, y1 = px(ar.x), py(ar.y), py(ar.y + 0.45)
+    for ax, ay, direction in doc.arrows:
+        if direction == "up":
+            x, y0, y1 = px(ax), py(ay), py(ay + 0.45)
             out.append(
                 f'<line x1="{x:.1f}" y1="{y0:.1f}" x2="{x:.1f}" y2="{y1:.1f}" '
                 'stroke="#222222" stroke-width="1.3"/>\n'
@@ -271,7 +277,7 @@ def _svg(doc: ChartDocument) -> bytes:
                 'stroke-width="1.3"/>\n'
             )
         else:
-            x0, x1, y = px(ar.x + 0.45), px(ar.x), py(ar.y)
+            x0, x1, y = px(ax + 0.45), px(ax), py(ay)
             out.append(
                 f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x1:.1f}" y2="{y:.1f}" '
                 'stroke="#c02020" stroke-width="1.3"/>\n'
@@ -279,17 +285,17 @@ def _svg(doc: ChartDocument) -> bytes:
                 f'L {x1 + 5:.1f} {y + 3.5:.1f}" fill="none" stroke="#c02020" '
                 'stroke-width="1.3"/>\n'
             )
-    for d in dots:
-        dx, dy = _FAN[d.slot % len(_FAN)]
-        x, y = d.x + dx, d.y + dy
+    for sx, sy, color, slot, label in doc.dots:
+        dx, dy = _FAN[slot % len(_FAN)]
+        x, y = sx + dx, sy + dy
         out.append(
             f'<circle cx="{x_text[x]}" cy="{y_text[y]}" r="3.2" '
-            f'fill="{_COLORS[d.color]}"/>\n'
+            f'fill="{_COLORS[color]}"/>\n'
         )
-        if d.label:
+        if label:
             out.append(
                 f'<text x="{x_text[x]}" y="{py(y) + 14:.1f}" font-size="9" '
-                f'text-anchor="middle">{esc(d.label)}</text>\n'
+                f'text-anchor="middle">{esc(label)}</text>\n'
             )
     out.append(
         f'<text x="{_MARGIN:.1f}" y="{20:.1f}" font-size="12">{esc(doc.title)}</text>\n'
@@ -313,32 +319,31 @@ def _tikz(doc: ChartDocument) -> bytes:
         f"{doc.x_max / 2.0 - 0.75:.2f}) -- ({doc.x_max + 0.5},-0.5) -- cycle;\n",
         f"\\draw[gray!40, very thin] (0,0) grid[step=2] ({doc.x_max},{doc.y_max});\n",
     ]
-    dots, lines, arrows = doc.sorted_parts()
     coord = _Formatted("{:.2f}".format)
     style = {"rho": "red", "h0": "black", "h1": "green!60!black", "hidden": "red, dashed"}
-    for ln in lines:
+    for kind, x1, y1, x2, y2, _ in doc.lines:
         out.append(
-            f"\\draw[{style[ln.kind]}] ({coord[ln.x1]},{coord[ln.y1]}) -- "
-            f"({coord[ln.x2]},{coord[ln.y2]});\n"
+            f"\\draw[{style[kind]}] ({coord[x1]},{coord[y1]}) -- "
+            f"({coord[x2]},{coord[y2]});\n"
         )
-    for ar in arrows:
-        if ar.direction == "up":
+    for ax, ay, direction in doc.arrows:
+        if direction == "up":
             out.append(
-                f"\\draw[->, black] ({ar.x:.2f},{ar.y:.2f}) -- "
-                f"({ar.x:.2f},{ar.y + 0.45:.2f});\n"
+                f"\\draw[->, black] ({ax:.2f},{ay:.2f}) -- "
+                f"({ax:.2f},{ay + 0.45:.2f});\n"
             )
         else:
             out.append(
-                f"\\draw[->, red] ({ar.x + 0.45:.2f},{ar.y:.2f}) -- "
-                f"({ar.x:.2f},{ar.y:.2f});\n"
+                f"\\draw[->, red] ({ax + 0.45:.2f},{ay:.2f}) -- "
+                f"({ax:.2f},{ay:.2f});\n"
             )
-    for d in dots:
-        dx, dy = _FAN[d.slot % len(_FAN)]
-        x, y = d.x + dx, d.y + dy
-        color = "blue" if d.color == BLUE else "black!45"
-        out.append(f"\\fill[{color}] ({coord[x]},{coord[y]}) circle (0.12);\n")
-        if d.label:
-            safe = d.label.replace("_", "\\_")
+    for sx, sy, color, slot, label in doc.dots:
+        dx, dy = _FAN[slot % len(_FAN)]
+        x, y = sx + dx, sy + dy
+        fill = "blue" if color == BLUE else "black!45"
+        out.append(f"\\fill[{fill}] ({coord[x]},{coord[y]}) circle (0.12);\n")
+        if label:
+            safe = label.replace("_", "\\_")
             out.append(
                 f"\\node[below, font=\\tiny] at ({coord[x]},{coord[y - 0.1]}) "
                 f"{{{safe}}};\n"

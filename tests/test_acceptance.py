@@ -5,6 +5,7 @@ comparisons are exact: integer equalities and F2 identities, no tolerances.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_criterion_8_chart_fidelity(timed_default):
         if degree_of(run.cat, s).s <= doc.x_max and degree_of(run.cat, s).f <= doc.y_max
     )
     ok = dashes == expected and dashes[0] == (5.0, 3.0, 4.0, 4.0)
-    counts = doc.dot_census()
+    counts = Counter((d.x, d.y) for d in doc.dots)
     for s in range(0, doc.x_max + 1):
         for f in range(0, doc.y_max + 1):
             want = expected_census_dimension(TriDegree(s, f, s), doc.y_max)

@@ -11,6 +11,7 @@ from blregion.bockstein import (
     TAU_STEP,
     ZERO,
     BocksteinRun,
+    ConflictError,
     DegreeState,
     PageResolver,
     Report,
@@ -883,8 +884,14 @@ def test_structural_check_flags_a_tower_that_reaches_the_walk_bound(run24, monke
 
 def test_injected_non_divisible_differential_flagged(cat):
     # a differential on a class whose rho-division does not carry one
-    # violates the negative-cone divisibility constraint
-    bad = parse_rule_line(cat, "1 | gamma/(rho tau^{2}) h_0 | gamma/tau^{3} h_0^2 | 0..0")
+    # violates the negative-cone divisibility constraint. The source has a
+    # family factor: on a family-free gamma class the closed forms fix d_1,
+    # so the run refuses such a rule before any check reads it
+    contradicting = parse_rule_line(
+        cat, "1 | gamma/(rho tau^{2}) h_0 | gamma/tau^{3} h_0^2 | 0..0")
+    with pytest.raises(ConflictError, match="two rules disagree"):
+        run_bockstein(cat, Window(max_stem=10), extra_rules=[contradicting])
+    bad = parse_rule_line(cat, "1 | gamma/(rho tau^{2}) h_2 | gamma/tau^{3} h_0 h_2 | 0..0")
     run = run_bockstein(cat, Window(max_stem=10), extra_rules=[bad])
     rep = check_structural_constraints(run)
     assert any("supports a differential" in v for v in rep.violations)

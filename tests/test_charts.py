@@ -2,13 +2,17 @@ import math
 import shutil
 import subprocess
 import xml.etree.ElementTree as ET
+from collections import Counter
 from xml.sax.saxutils import escape
 
 import pytest
 
-from blregion.bockstein import expected_census_dimension
-from blregion.charts import _FAN, BLUE, ChartDocument, Dot, chart_from_page, ko_chart, render
-from blregion.degrees import TriDegree
+from blregion.adams import install_hidden_rho_extensions, region
+from blregion.bockstein import expected_census_dimension, run_bockstein
+from blregion.charts import (_DOT_ORDER, _FAN, BLUE, ChartDocument, Dot, _tower_steps,
+                             chart_from_page, ko_chart, render)
+from blregion.degrees import TriDegree, Window
+from blregion.monomials import module_action
 
 
 def test_svg_is_wellformed_xml(run24, page24):
@@ -26,7 +30,37 @@ def test_render_deterministic(page24):
 
 def test_chart_round_trip_structural_equality(run24):
     d1, d2 = chart_from_page(run24, "e2"), chart_from_page(run24, "e2")
-    assert d1.sorted_parts() == d2.sorted_parts()
+    assert (d1.dots, d1.lines, d1.arrows) == (d2.dots, d2.lines, d2.arrows)
+
+
+def test_builders_emit_parts_in_drawing_order(run24, page24, run40):
+    # the renderers write the parts as stored, so the builders keep them sorted
+    docs = [chart_from_page(run24, "e2"), chart_from_page(page24, "einf"),
+            chart_from_page(run40, "e2"),
+            chart_from_page(install_hidden_rho_extensions(run40), "einf"), ko_chart()]
+    for doc in docs:
+        assert doc.dots == sorted(doc.dots, key=_DOT_ORDER), doc.title
+        assert doc.lines == sorted(doc.lines), doc.title
+        assert doc.arrows == sorted(doc.arrows), doc.title
+    assert all(doc.dots and doc.lines and doc.arrows for doc in docs)
+
+
+@pytest.mark.parametrize("stem, lo, hi", [(16, -3, 2), (24, -6, 1), (40, -2, 1), (64, -2, 1)])
+def test_tower_steps_are_the_products(cat, stem, lo, hi):
+    # a chart draws its rho- and h1-lines from the tower steps; where a
+    # product is zero, its step is no stored class, so it is never placed
+    run = run_bockstein(cat, Window(max_stem=stem, min_coweight=lo, max_coweight=hi))
+    stored = run.home
+    placed = {m for _, survivors in region(run) for m in survivors}
+    for m in stored:
+        for gen, step in zip(("rho", "h_1"), _tower_steps(m)):
+            product = module_action(cat, gen, m)
+            if product is None:
+                assert step not in stored, (gen, m)
+            else:
+                assert product == step, (gen, m)
+            if m in placed:
+                assert (step in placed) == (product in placed), (gen, m)
 
 
 def test_einf_hidden_dashes(cat, page24):
@@ -49,7 +83,7 @@ def test_einf_hidden_dashes(cat, page24):
 
 def test_dot_census_matches_region(run24):
     doc = chart_from_page(run24, "e2")
-    counts = doc.dot_census()
+    counts = Counter((d.x, d.y) for d in doc.dots)
     for s in range(0, doc.x_max + 1):
         for f in range(0, doc.y_max + 1):
             want = expected_census_dimension(TriDegree(s, f, s), doc.y_max)

@@ -230,7 +230,9 @@ def test_override_against_seed_outside_window_is_engine_error(tmp_path):
     # Leibniz: d_1(tau h_0) = d_1(tau) h_0 = rho h_0^2, which the positive
     # oracle reads; declaring it zero would keep tau h_0 alive on page 2
     ("1 | tau h_0 | 0 | 0", "tau h_0 at page 1"),
-], ids=["tau-power", "pure-gamma", "leibniz-positive"])
+    # d_2(gamma/(rho^2 tau^2) h_1) = d_2(gamma/(rho^2 tau^2)) h_1 = gamma/tau^3 h_1^2
+    ("2 | gamma/(rho^2 tau^2) h_1 | 0 | 0", "gamma/(rho^2 tau^2) h_1 at page 2"),
+], ids=["tau-power", "pure-gamma", "leibniz-positive", "leibniz-gamma"])
 def test_override_against_closed_form_is_engine_error(tmp_path, line, named):
     # the tau-power differentials are closed forms, not rules; an override
     # that contradicts them is a conflict, as one against a seeded rule is
@@ -242,14 +244,14 @@ def test_override_against_closed_form_is_engine_error(tmp_path, line, named):
     assert "Traceback" not in r.stderr
 
 
-def test_override_agreeing_with_leibniz_changes_nothing(tmp_path):
-    # d_1(tau h_0) = rho h_0^2 restates the closed form: the run accepts it
-    # and gives the plain run's pages and closure log
+def _assert_override_changes_nothing(tmp_path, line):
+    # a line that restates a closed form: the run accepts it and gives the
+    # plain run's census report, pages, differentials and closure log
     from blregion import Window, load_catalog, run_bockstein
     from blregion.rules import load_rule_overrides
 
     rules = tmp_path / "rules.txt"
-    rules.write_text("1 | tau h_0 | rho h_0^2 | 0\n")
+    rules.write_text(line + "\n")
     r = run_cli("--report", "census", "--max-stem", "16", "--rules-override", str(rules))
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli("--report", "census", "--max-stem", "16").stdout
@@ -260,6 +262,15 @@ def test_override_agreeing_with_leibniz_changes_nothing(tmp_path):
         d: st.dim() for d, st in plain.states.items()}
     assert run.differentials == plain.differentials
     assert run.assumptions.entries == plain.assumptions.entries
+
+
+def test_override_agreeing_with_leibniz_changes_nothing(tmp_path):
+    _assert_override_changes_nothing(tmp_path, "1 | tau h_0 | rho h_0^2 | 0")
+
+
+def test_override_agreeing_with_gamma_leibniz_changes_nothing(tmp_path):
+    _assert_override_changes_nothing(
+        tmp_path, "2 | gamma/(rho^2 tau^2) h_1 | gamma/tau^3 h_1^2 | 0")
 
 
 @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)], ids=["strict", "plain"])
