@@ -40,6 +40,7 @@ from .monomials import (
     display,
     make_positive,
     make_q,
+    rho_shift,
 )
 
 
@@ -181,9 +182,9 @@ def rho_divisibility_engine(page: AdamsPage, k: int) -> int:
         if k >= 4:
             raise OutOfWindowError(f"hidden extension for k={k} not installed")
         return 0
-    j = 0
+    j, deeper = 0, src
     while True:
-        deeper = make_q(cat, j + 1, "h_1^{4+k}", k - 4)
+        deeper = rho_shift(deeper, -1)
         ddeg = run.degree(deeper)
         if ddeg.s > run.window.max_stem:
             raise OutOfWindowError(
@@ -253,13 +254,12 @@ def classical_edge_by_stem(cat: Catalog, max_f: int) -> Dict[int, List[MonomialC
 
 
 def is_rho_divisible(page: AdamsPage, alpha: MonomialClass) -> bool:
-    """Is the class detected by alpha a rho-multiple, page-level or hidden?"""
-    run = page.run
-    if alpha.cone is Cone.POSITIVE:
-        if alpha.rho >= 1 and run.monomial_alive(alpha._replace(rho=alpha.rho - 1)):
-            return True
-        return alpha in set(page.hidden_rho.values())
-    return run.monomial_alive(alpha._replace(rho=alpha.rho + 1))
+    """Is the class detected by alpha a rho-multiple: is its rho-division a
+    page class, or is it the target of a hidden extension?"""
+    divided = rho_shift(alpha, -1)
+    if divided is not None and page.run.monomial_alive(divided):
+        return True
+    return alpha in set(page.hidden_rho.values())
 
 
 def underlying_map(page: AdamsPage, alpha: MonomialClass) -> Optional[MonomialClass]:

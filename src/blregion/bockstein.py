@@ -14,8 +14,8 @@ A page differential is resolved from, in order: seeded rules, filtration or
 empty-target vanishing, the positive-cone factorization oracle, the
 factorization of a gamma class through one pure-gamma divisor, dead-target
 vanishing (every cycle its candidate targets span is already a boundary),
-h0/h1 Leibniz transfer and rho-tower transfer; pages past 3 use only rules,
-vanishing and transfer. A page class with no rule instance on page r and
+h0/h1 Leibniz transfer and rho-tower transfer; the gamma factorization
+runs on pages 1..3 only. A page class with no rule instance on page r and
 nothing to hit is zero without an entry, so resolve work follows the classes
 d_r can move: at stem 40, 9,888 entries over 12 pages, not 49,469.
 The tau-power differentials and their gamma companions are closed forms, not
@@ -23,15 +23,17 @@ rules: ``TAU_STEP[r]`` (1, 2, 4 on pages 1..3) divides the tau exponent of
 every tau power and pure gamma class alive on page r, and ``tau_power_d`` and
 ``pure_gamma_d`` give their d_r; ``index_rules`` refuses a rule that
 contradicts them or their products with rho, h_0 and h_1 (``_closed_form_d``).
-``PageResolver._resolve_raw`` is the one gate of the gamma mechanisms: they
-run only on pages r <= 3 and only for gamma classes with rho >= r (any other
-has no target), and each gamma class is tried at one tau exponent n, the
-first multiple of ``TAU_STEP[r]`` at or above its own, through the pure
-class gamma/(rho^j tau^n). The members of a rho-tower gamma/(rho^j tau^i) x
-differentiate alike, so a page factors each tower once and places its terms
-at each j by lowering their rho-exponents. The positive oracle
+d_r is rho-linear, so every member of a rho-tower differentiates like the
+tower's rho-free class moved along it (``monomials.rho_shift``): after the
+rule lookup, a page resolves each tower once (``PageResolver._factor_tower``),
+a positive one by the positive oracle, which works on rho-free classes, on
+every page, and a gamma one on pages r <= 3 (a gamma class with rho < r has
+no target) at one tau exponent n, the first multiple of ``TAU_STEP[r]`` at or
+above its own, through the pure class gamma/(rho^j tau^n). The oracle
 certifies survival by one rule: a class no d_q can hit survives to page r
-exactly when every d_q of it, q < r, is known zero.
+exactly when every d_q of it, q < r, is known zero. A tower's members have
+targets on the same pages: the movers and the oracle's empty-target tests
+read one per tower.
 A run holds E1 once: ``build_e1`` gives the basis of every stored degree,
 and each becomes a ``DegreeState`` whose cycles and boundaries are ``gf2``
 RREF row lists, with its page representatives, the basis classes they
@@ -45,8 +47,6 @@ checks and the Adams layer read a stored class's degree from its home.
 ``walk_tower`` is the one walk along an h0 or h1 tower: the structural
 check reads it for the coweight-1 h1 towers, and the Adams check for each
 candidate source.
-d_r is rho-linear, so a rho-tower's members have targets on the same pages:
-the movers and the positive oracle's empty-target tests read one per tower.
 The run's ``E1Index`` says which filtrations a cone group of a target degree
 occupies; the classes d_r(m) can hit are listed, where a mechanism needs
 them, from the target's degree state (``targets_in``), so the states hold
@@ -81,6 +81,7 @@ from .monomials import (
     make_positive,
     module_action,
     multiply,
+    rho_shift,
 )
 from .rules import DifferentialRule, RuleInstance, seed_rules
 
@@ -199,18 +200,17 @@ RuleIndex = Dict[int, Dict[MonomialClass, RuleInstance]]
 
 
 class PositiveOracle:
-    """Symbolic page differentials and survival for positive-cone monomials.
+    """Symbolic page differentials and survival for rho-free positive-cone
+    monomials (the page resolver moves a value along its tower).
 
-    Valid on pages 1..3 (the globally-run pages). The knowledge atoms are the
-    tau-power differentials in closed form (the module's ``tau_power_d``), exact
-    matches in the run's rule index modulo tau^4 and rho factors, the
-    declared permanent cycles, and empty-target vanishing; composite values
-    follow by the Leibniz rule over the factorization rho^a tau^b z. Only
-    family classes are looked up in the rule index; a tau power is read from
-    the closed form alone. ``alive`` is asked only about rho-free classes,
-    which no d_q can hit (a positive d_q raises the rho-exponent by q), so
-    such a class survives to page r exactly when every d_q(m), q < r, is
-    known zero.
+    The knowledge atoms are the tau-power differentials in closed form
+    (``tau_power_d``, _UNKNOWN past page 3 for b > 0, though the oracle is
+    asked on every page), exact matches in the run's rule index modulo tau^4
+    factors, the declared permanent cycles, and empty-target vanishing;
+    composite values follow by the Leibniz rule over tau^b z. Only family
+    classes are looked up in the rule index. No d_q can hit a rho-free class
+    (a positive d_q raises the rho-exponent by q), so it survives to page r
+    exactly when every d_q(m), q < r, is known zero (``alive``).
     """
 
     def __init__(self, cat: Catalog, rule_instances: RuleIndex, index: E1Index):
@@ -220,46 +220,37 @@ class PositiveOracle:
         self._d_memo: Dict[Tuple[MonomialClass, int], object] = {}
 
     def d(self, m: MonomialClass, r: int):
-        """Resolved d_r(m) as a list of monomials, None for zero, or _UNKNOWN."""
+        """d_r of the rho-free m as one monomial, None for zero, or _UNKNOWN."""
         key = (m, r)
         if key not in self._d_memo:
             self._d_memo[key] = self._d_raw(m, r)
         return self._d_memo[key]
 
-    def _wrap(self, a: int, out: Optional[MonomialClass]):
-        if out is None:
-            return None
-        shifted = multiply(self.cat, make_positive(self.cat, rho=a), out)
-        return [shifted] if shifted is not None else None
-
     def _d_raw(self, m: MonomialClass, r: int):
         cat = self.cat
-        a, b = m.rho, m.tau
+        b = m.tau
         pages = self.index.positive_pages
         if r not in pages(m):
             return None  # empty target degree: vanishing is forced
-        # d_r(rho^a tau^b z) = rho^a d_r(tau^(b-p)) tau^p z when d_r(tau^p z) = 0
+        # d_r(tau^b z) = d_r(tau^(b-p)) tau^p z when d_r(tau^p z) = 0
         p = 0
         if m.family:
-            # exact rule match modulo rho and tau^4 factors (tau^4 is a cycle here)
+            # exact rule match modulo tau^4 factors (tau^4 is a cycle here)
             on_page = self.rule_instances.get(r, {})
             for strip in range(0, b // 4 + 1):
-                inst = on_page.get(m._replace(rho=0, tau=b - 4 * strip))
+                inst = on_page.get(m._replace(tau=b - 4 * strip))
                 if inst is not None:
-                    if inst.target is None:
-                        return None
-                    out = multiply(cat, make_positive(cat, tau=4 * strip), inst.target)
-                    return self._wrap(a, out)
+                    return inst.target if inst.target is None else multiply(
+                        cat, make_positive(cat, tau=4 * strip), inst.target)
             fam = cat.families[m.family]
             if fam.permanent_cycle and b >= fam.perm_tau_prefix:
                 p = fam.perm_tau_prefix  # tau^p z is a declared permanent cycle
-            elif r in pages(m._replace(rho=0, tau=0)):
+            elif r in pages(m._replace(tau=0)):
                 return _UNKNOWN  # the tau-free class z may support a d_r
         dt = tau_power_d(cat, b - p, r)
-        if dt is _UNKNOWN:
-            return _UNKNOWN
-        unit = m._replace(rho=0, tau=p)
-        return self._wrap(a, None if dt is None else multiply(cat, dt, unit))
+        if dt is None or dt is _UNKNOWN:
+            return dt
+        return multiply(cat, dt, m._replace(tau=p))
 
     def alive(self, m: MonomialClass, r: int) -> bool:
         """Survival of the rho-free class m to page r; False on unknowns."""
@@ -486,78 +477,62 @@ class BocksteinRun:
 
 class PageResolver:
     """Resolves d_r on the live movers of one page of ``run``; ``values``
-    holds only theirs, as every other page class is zero (``resolved``)."""
+    holds only theirs, as every other page class is zero (``resolved``).
+    Each rho-tower is resolved once (``_factor_tower``), and member m gets
+    its terms ``rho_shift(term, lift + m.filtration())``, each zero where
+    its rho-exponent would turn negative."""
 
     def __init__(self, run: BocksteinRun, r: int):
         self.run = run
         self.r = r
-        self.scheduled = r > 3  # pages >= 4 run on rules and transfer only
         self.values: Dict[MonomialClass, Chain] = {}
         #: the page classes among ``run.movers[r]``, set by ``resolve_page``
         self.live: FrozenSet[MonomialClass] = frozenset()
         self.rule_instances = run.rule_instances.get(r, {})
-        #: gamma rho-tower (``m[:3] + m[4:]``) -> its d_r terms, each as
-        #: (fields before rho, fields after rho, lift), or _UNKNOWN
+        #: rho-tower (``m[:3] + m[4:]``) -> ``_factor_tower`` of its rho-free class
         self._towers: Dict[tuple, object] = {}
 
     def _resolve_raw(self, m: MonomialClass):
         """d_r(m) or _UNKNOWN for a class with a rule instance on page r or a
-        nonempty target (``resolve_page`` zeroes every other class); the
-        gamma mechanisms see only r <= 3, rho >= r."""
+        nonempty target (``resolve_page`` zeroes every other class): its rule
+        or its tower's terms; Q classes, and gamma past page 3, are _UNKNOWN."""
         inst = self.rule_instances.get(m)
         if inst is not None:
             return chain_of(self.run, [inst.target] if inst.target else [])
-        if m.cone is Cone.POSITIVE:
-            val = self.run.oracle.d(m, self.r)
-            return _UNKNOWN if val is _UNKNOWN else chain_of(self.run, val or [])
-        if self.scheduled:
-            return _UNKNOWN  # pages >= 4: transfer passes may still determine it
-        if m.cone is Cone.GAMMA:
-            return self._resolve_gamma(m)
-        return _UNKNOWN  # Q classes: rules, vanishing or transfer
-
-    def _resolve_gamma(self, m: MonomialClass):
-        """d_r(m) for m = gamma/(rho^j tau^i) x: its rho-tower's terms placed at j.
-
-        The members of a rho-tower differentiate alike (``_factor_tower``),
-        so the page factors each tower once, under its rho-free class, and
-        each member builds its terms with rho-exponent j minus their lifts; a
-        term whose exponent would turn negative is zero. Which terms are
-        stored depends on j, so each member makes its own chain.
-        """
-        key = m[:3] + m[4:]
+        if m.cone is Cone.Q or (m.cone is Cone.GAMMA and self.r > 3):
+            return _UNKNOWN
+        key, n = m[:3] + m[4:], m.filtration()
         tower = self._towers.get(key)
         if tower is None:
-            tower = self._factor_tower(MonomialClass._make(m[:3] + (0,) + m[4:]))
-            if tower is not _UNKNOWN:
-                tower = [(t[:3], t[4:], lift) for t, lift in tower]
-            self._towers[key] = tower
+            tower = self._towers[key] = self._factor_tower(rho_shift(m, -n))
         if tower is _UNKNOWN:
             return _UNKNOWN
-        j, make = m.rho, MonomialClass._make
-        return chain_of(self.run, (make(head + (j - lift,) + tail) if j >= lift else None
-                                   for head, tail, lift in tower))
+        return chain_of(self.run, (rho_shift(t, lift + n) for t, lift in tower))
 
     def _factor_tower(self, base: MonomialClass):
-        """The d_r terms of the tower gamma/(rho^j tau^i) x of the rho-free
-        ``base``, as (term at rho-exponent 0, lift) pairs -- the member at j
-        has the term at rho-exponent j - lift -- or _UNKNOWN.
+        """The d_r terms of the rho-tower of the rho-free ``base`` as (term,
+        lift) pairs, each placed at member m as ``rho_shift(term, lift +
+        m.filtration())``, or _UNKNOWN.
 
-        The factorization runs through the one tau exponent n, the first
-        multiple of ``TAU_STEP[r]`` at or above i, the least n with
-        gamma/(rho^j tau^n) alive on page r. The Leibniz rule over
+        A positive base has the positive oracle's value with lift 0. A gamma
+        base gamma/tau^i x is factored through the one tau exponent n, the
+        first multiple of ``TAU_STEP[r]`` at or above i, the least n with
+        gamma/(rho^j tau^n) alive on page r: the Leibniz rule over
         m = tau^(n-i) x * gamma/(rho^j tau^n) gives d_r(m) when the positive
         oracle knows the first factor y alive and its d_r; otherwise d_r(m)
-        is _UNKNOWN and left to dead-target vanishing and transfer. No larger
-        n is tried: the oracle's verdict on tau^b z for q < r depends on b
-        only modulo ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``. Nothing
-        here reads j, since ``make_gamma`` reads a rho-exponent only to
-        reject a negative one: y * gamma/(rho^j tau^n) is the j = 0 product
-        at rho-exponent j, a term t of d_r(y) times it is the product at
-        j = t.rho moved to j - t.rho, and y * d_r(gamma/(rho^j tau^n)) is
-        the j = r product moved to j - r.
+        is left to dead-target vanishing and transfer. No larger n is tried:
+        the oracle's verdict on tau^b z for q < r depends on b only modulo
+        ``TAU_STEP[q]``, which divides ``TAU_STEP[r]``. Nothing here reads j,
+        since ``make_gamma`` reads a rho-exponent only to reject a negative
+        one: the term t = d_r(y) times gamma/(rho^j tau^n) is the product at
+        j = t.rho moved to j - t.rho, and y * d_r(gamma/(rho^j tau^n)) the
+        product at j = r moved to j - r, so each is kept at rho-exponent 0
+        with lift t.rho or r.
         """
         cat, oracle, r = self.run.cat, self.run.oracle, self.r
+        if base.cone is Cone.POSITIVE:
+            dm = oracle.d(base, r)
+            return _UNKNOWN if dm is _UNKNOWN else [] if dm is None else [(dm, 0)]
         i = base.tau
         n = i + (-i) % TAU_STEP[r]
         y = make_positive(cat, 0, n - i, base.h0, base.h1, base.family, base.k)
@@ -567,7 +542,7 @@ class PageResolver:
         dy = oracle.d(y, r)
         if dy is _UNKNOWN:
             return _UNKNOWN
-        terms = [(multiply(cat, t, G._replace(rho=t.rho)), t.rho) for t in dy or []]
+        terms = [] if dy is None else [(multiply(cat, dy, rho_shift(G, -dy.rho)), dy.rho)]
         dG = pure_gamma_d(cat, r, n, r)
         if dG is not None:
             terms.append((multiply(cat, y, dG), r))
@@ -615,8 +590,8 @@ class PageResolver:
                     break
             if m in values:
                 continue
-            if m.rho >= 1:
-                shallow = m._replace(rho=m.rho - 1)
+            shallow = rho_shift(m, 1)
+            if shallow is not None:
                 val = resolved(shallow)
                 if val is not None and run.monomial_alive(shallow):
                     solved = self._rho_lift(m, val)
@@ -890,13 +865,13 @@ def check_structural_constraints(run: BocksteinRun) -> Report:
         for src, val in diffs.items():
             if src.cone is Cone.POSITIVE:
                 continue
-            deeper = MonomialClass._make(src[:3] + (src.rho + 1,) + src[4:])
+            deeper = rho_shift(src, -1)
             if deeper in home and not diffs.get(deeper):
                 failing.append((src, 0, src, deeper))
             for mono in val.terms:
                 if mono.cone is Cone.POSITIVE:
                     continue
-                deeper = MonomialClass._make(mono[:3] + (mono.rho + 1,) + mono[4:])
+                deeper = rho_shift(mono, -1)
                 dst = home.get(deeper)
                 if dst is None:
                     continue  # tower leaves the window: boundary-marked

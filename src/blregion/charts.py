@@ -77,13 +77,13 @@ _FAN = [(0.0, 0.0), (0.22, 0.1), (-0.22, -0.1), (0.22, -0.1), (-0.22, 0.1)]
 
 def _tower_steps(m: MonomialClass) -> Tuple[tuple, tuple]:
     """The rho- and h1-neighbours of a stored class m, as plain tuples (they
-    hash and compare as ``MonomialClass`` keys do): rho-exponent +1 on the
-    positive cone and -1 on the gamma and Q parts; h1-exponent +1, or k + 1
-    on the Q part. Each is the product: rho acts through its exponent alone,
-    zero only at divided exponent 0, whose step is never placed; an
-    h1-product is zero (h0 h1 = 0, tau h1^4 = 0, family h1-heights, gamma
-    h1^4) only where the step is no E1 class. The resolver's bump parents
-    and the structural check's rho-division take these steps backwards."""
+    hash and compare as ``MonomialClass`` keys do; a chart takes thousands,
+    and making classes would cost more): ``rho_shift(m, 1)``, which defines
+    the rho-step, and the h1-exponent +1, or k + 1 on the Q part. Each is
+    the product: rho acts through its exponent alone, zero only at divided
+    exponent 0, whose step is never placed; an h1-product is zero (h0 h1 = 0,
+    tau h1^4 = 0, family h1-heights, gamma h1^4) only where the step is no E1
+    class. The resolver's bump parents take the h1-step backwards."""
     cone, family, k, rho, tau, h0, h1 = m
     rho_step = (cone, family, k, rho + 1 if cone is Cone.POSITIVE else rho - 1, tau, h0, h1)
     if cone is Cone.Q:

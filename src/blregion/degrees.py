@@ -49,12 +49,17 @@ class Window:
     asserted ranges are padded internally (``stem_pad``/``coweight_pad``) so
     that differentials leaving or entering the asserted box are still
     visible; classes inside the padding are treated as
-    indeterminate-at-boundary and excluded from census assertions.
+    indeterminate-at-boundary and excluded from census assertions. A box
+    of more stored degrees than ``max_degrees`` is refused.
     """
 
     min_stem: ClassVar[int] = -2
     stem_pad: ClassVar[int] = 4
     coweight_pad: ClassVar[int] = 1
+    #: ``Window(256)``'s stored degrees (263 stems x 259 f x 5 coweights): stem
+    #: 256 is the largest window measured (9.4 s run, 1.84 s checks, 339 MB),
+    #: and work and memory grow with the box, so a larger one is refused
+    max_degrees: ClassVar[int] = 340_585
 
     max_stem: int = 24
     min_coweight: int = -2
@@ -65,6 +70,11 @@ class Window:
             raise ValueError("empty stem range")
         if not self.min_coweight <= 0 <= self.max_coweight:  # empty, or no region
             raise ValueError(f"coweights {self.min_coweight}..{self.max_coweight} leave out 0")
+        degrees = ((self.stored_max_stem - self.min_stem + 1) * (self.max_f + 1)
+                   * (self.max_coweight - self.stored_min_coweight + 1))
+        if degrees > self.max_degrees:
+            raise ValueError(f"the window stores {degrees} degrees, "
+                             f"over stem 256's {self.max_degrees}")
 
     @property
     def max_f(self) -> int:

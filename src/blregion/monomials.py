@@ -50,6 +50,17 @@ class MonomialClass(NamedTuple):
         return self.rho if self.cone is Cone.POSITIVE else -self.rho
 
 
+def rho_shift(m: MonomialClass, n: int) -> Optional[MonomialClass]:
+    """m moved n steps along its rho-tower (filtration + n), or None where
+    the rho-exponent turns negative: rho^(a+n) x on the positive cone,
+    gamma/(rho^(j-n) ...) and Q/rho^(j-n) on the divided ones. For a stored
+    m, ``rho_shift(m, 1)`` is rho * m and ``rho_shift(m, -1)`` its
+    rho-division; ``rho_shift(m, -m.filtration())`` is its tower's rho-free
+    class."""
+    j = m.rho + n if m.cone is Cone.POSITIVE else m.rho - n
+    return MonomialClass._make(m[:3] + (j,) + m[4:]) if j >= 0 else None
+
+
 # Internal singleton-ish helpers ------------------------------------------------
 
 

@@ -611,55 +611,81 @@ def _per_class_gamma(resolver, m):
     if y is not None and multiply(cat, y, G) == m and oracle.alive(y, r):
         dy = oracle.d(y, r)
         if dy is not _UNKNOWN:
-            terms = [multiply(cat, t, G) for t in dy or []]
+            terms = [] if dy is None else [multiply(cat, dy, G)]
             if dG is not None:
                 terms.append(multiply(cat, y, dG))
             return chain_of(resolver.run, terms)
     return _UNKNOWN
 
 
+def _per_class_positive(resolver, m):
+    """d_r(rho^a x) of one positive class: rho^a times the oracle's value on
+    the rho-free x, a product of its own."""
+    cat = resolver.run.cat
+    val = resolver.run.oracle.d(m._replace(rho=0), resolver.r)
+    if val is _UNKNOWN:
+        return _UNKNOWN
+    if val is None:
+        return ZERO
+    return chain_of(resolver.run, [multiply(cat, make_positive(cat, rho=m.rho), val)])
+
+
 @pytest.mark.parametrize("window", [Window(max_stem=24, min_coweight=-6),
                                     Window(max_stem=16, min_coweight=-3, max_coweight=2)],
                          ids=["s24-cw-6..1", "s16-cw-3..2"])
 def test_tower_placement_equals_per_class_factorization(cat, window):
-    # a page factors each gamma rho-tower once and places its terms at each
-    # rho-exponent j; every gamma mover with j >= r on pages 1..3 must get
-    # the value its own factorization gives, unknowns included
-    compared = derived = 0
+    # a page resolves each rho-tower once and places its terms at each
+    # member; every positive mover on every scheduled page, and every gamma
+    # mover with rho >= r on pages 1..3, must get the value its own
+    # factorization gives, unknowns included
+    gamma = positive = derived = moved = 0
     for run, r, diffs in _pages(cat, window):
-        if r > 3:
-            break
         resolver = PageResolver(run, r)
         for m in run.movers[r]:
-            if m.cone is Cone.GAMMA and m.rho >= r:
+            if m in resolver.rule_instances:
+                continue  # a rule is read before the tower path
+            if m.cone is Cone.POSITIVE:
+                want = _per_class_positive(resolver, m)
+                positive += 1
+                moved += bool(want) and want is not _UNKNOWN and m.rho > 0
+            elif m.cone is Cone.GAMMA and m.rho >= r and r <= 3:
                 want = _per_class_gamma(resolver, m)
-                assert resolver._resolve_gamma(m) == want, f"{display(m)} on page {r}"
-                compared += 1
-                derived += want is not _UNKNOWN
+                gamma += 1
+            else:
+                continue
+            assert resolver._resolve_raw(m) == want, f"{display(m)} on page {r}"
+            derived += want is not _UNKNOWN
         turn_page(run, diffs, r)
-    assert derived > 2000 and compared > derived
+    # a nonzero value moved up its tower (rho > 0) is what the placement
+    # can get wrong on the positive cone
+    assert gamma > 2000 and positive > 100 and moved > 50
+    assert gamma + positive > derived > 2000
 
 
 def test_each_gamma_tower_is_factored_once_per_page(cat, monkeypatch):
     # one factorization per distinct (page, rho-free class) that reaches
-    # the gamma mechanism, however many members of the tower move
+    # the tower path, however many members of the tower move; the gamma
+    # towers are counted
     factored, reached = [], set()
-    factor, resolve = PageResolver._factor_tower, PageResolver._resolve_gamma
+    factor, resolve = PageResolver._factor_tower, PageResolver._resolve_raw
 
     def counting_factor(self, base):
         factored.append((self.r, base))
         return factor(self, base)
 
     def recording_resolve(self, m):
-        reached.add((self.r, m._replace(rho=0)))
+        if m.cone is not Cone.Q and m not in self.rule_instances:
+            if m.cone is Cone.POSITIVE or self.r <= 3:
+                reached.add((self.r, m._replace(rho=0)))
         return resolve(self, m)
 
     monkeypatch.setattr(PageResolver, "_factor_tower", counting_factor)
-    monkeypatch.setattr(PageResolver, "_resolve_gamma", recording_resolve)
+    monkeypatch.setattr(PageResolver, "_resolve_raw", recording_resolve)
     for window, towers in ((Window(max_stem=40), 380), (Window(max_stem=24, min_coweight=-6), 505)):
         run_bockstein(cat, window)
-        assert len(factored) == len(set(factored)) == towers, window
+        assert len(factored) == len(set(factored)), window
         assert set(factored) == reached, window
+        assert sum(base.cone is Cone.GAMMA for _, base in factored) == towers, window
         factored.clear()
         reached.clear()
 

@@ -100,6 +100,21 @@ def test_empty_window_is_usage_error(arg):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [["--max-stem", "99999999999999999999"], ["--max-stem", "257"],
+                                  ["--max-stem", "24", "--coweights=-100000..1"]])
+def test_oversized_window_is_usage_error(monkeypatch, capsys, args):
+    # refused when the window is built: the engine must never start on it
+    import blregion.cli
+
+    def refuse(*_args, **_kw):
+        raise AssertionError("an oversized window reached the engine")
+
+    monkeypatch.setattr(blregion.cli, "run_bockstein", refuse)
+    assert blregion.cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degrees" in err and "Traceback" not in err
+
+
 def test_small_window_rejected_for_reports():
     # torsion-witness differentials need the eighth stem
     r = run_cli("--report", "divisibility", "--max-stem", "6")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from blregion.cones import enumerate_e1_at
 from blregion.degrees import DIFFERENTIAL_SHIFT, TriDegree, Window
 
@@ -52,3 +54,14 @@ def test_window_stores_and_asserts():
     assert w.stores(TriDegree(4, 1, 7))  # coweight -3 padding row
     assert not w.asserts(TriDegree(4, 1, 7))
     assert w.near_boundary(TriDegree(10, 3, 10), reach=1)
+
+
+def test_window_refuses_a_box_larger_than_stem_256s():
+    # constructed only: no window this large is ever run here
+    assert Window.max_degrees == 263 * 259 * 5
+    Window(256)
+    for stem, lo, hi in ((128, -2, 1), (40, -6, 1), (24, -2, 8), (16, -3, 2), (24, 0, 0)):
+        Window(max_stem=stem, min_coweight=lo, max_coweight=hi)
+    for args in ((257,), (24, -100000, 1), (24, 0, 100000), (99999999999999999999,)):
+        with pytest.raises(ValueError, match="stores .* degrees"):
+            Window(*args)

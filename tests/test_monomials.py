@@ -17,6 +17,7 @@ from blregion.monomials import (
     make_q,
     module_action,
     multiply,
+    rho_shift,
 )
 from blregion.rules import parse_monomial
 
@@ -178,3 +179,25 @@ def test_degree_of_matches_reference(cat, run24):
 def test_degree_of_rejects_negative_family_parameter(cat, cone):
     with pytest.raises(CatalogError):
         degree_of(cat, MonomialClass(cone, "P^k h_1", -1, 0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("window", [Window(max_stem=16, min_coweight=-3, max_coweight=2),
+                                    Window(max_stem=24, min_coweight=-6), Window(max_stem=40)],
+                         ids=["s16-cw-3..2", "s24-cw-6..1", "s40"])
+def test_rho_shift_is_the_rho_product_and_its_division(cat, window):
+    # one step up a tower is the product with rho, None at divided exponent
+    # 0 on both sides; one step down undoes it, and only a rho-free positive
+    # class has no rho-division
+    rho = make_positive(cat, rho=1)
+    classes = [m for basis in build_e1(cat, window).values() for m in basis]
+    assert {m.cone for m in classes} == set(Cone)
+    for m in classes:
+        up, down = rho_shift(m, 1), rho_shift(m, -1)
+        assert up == multiply(cat, rho, m), display(m)
+        assert (up is None) == (m.cone is not Cone.POSITIVE and m.rho == 0), display(m)
+        if up is not None:
+            assert rho_shift(up, -1) == m, display(m)
+        assert (down is None) == (m.cone is Cone.POSITIVE and m.rho == 0), display(m)
+        if down is not None:
+            assert rho_shift(down, 1) == m, display(m)
+        assert rho_shift(m, -m.filtration()) == m._replace(rho=0), display(m)
